@@ -1,15 +1,23 @@
-"""Verdicts under relabeled vocabularies, and searches for reversals.
+"""Verdicts under relabeled vocabularies, and their minimal reversals.
 
 The central operation replays a test on a relabeled reading of the same
-physical output and reports both verdicts side by side.  Because masks
-act on {0,1}^n as a transitive group (any sequence is carried to any
-other by exactly one mask), every statistic value is reachable by some
-relabeling, so whether a verdict-reversing mask exists is decided
-exactly, at any length, from the statistic-level verdict table alone.
-Finding a reversal with the fewest redefined positions is done by
-exhaustive scan up to a cap; beyond it a constructive fallback builds a
-mask toward an extreme target and prunes it greedily, and its result is
-explicitly labeled as not guaranteed minimal.
+physical output and reports both verdicts side by side.  Masks act on
+{0,1}^n as a transitive group (any sequence is carried to any other by
+exactly one mask), which answers the questions about all 2^n masks
+without enumerating them:
+
+* The p-value spectrum over all relabelings is the null law itself: the
+  number of masks reaching a statistic value is the number of sequences
+  attaining it.
+* A verdict-reversing mask exists iff some statistic value carries the
+  opposite verdict.  The reversal with the fewest redefined positions,
+  ties broken by the lexicographically smallest flip string, is exact
+  at every length.  For the head count it has a closed form; for the
+  run count it is a dynamic program over (position, mask bit, breaks),
+  because a mask m toggles the adjacent-pair breaks m ^ (m >> 1).
+
+Enumeration survives only in the capped null-invariance check, an
+oracle over every mask.
 """
 
 from __future__ import annotations
@@ -17,16 +25,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
-from .exact import CapExceededError, ONE_SIDED, _popcount, as_probability
-from .sequences import (
-    BinarySequence,
-    RelabelMask,
-    apply_relabeling,
-    mask_between,
-)
+from .exact import CapExceededError, ONE_SIDED, as_probability, runs_count_exact
+from .sequences import BinarySequence, RelabelMask, apply_relabeling
 from .verdicts import (
     BINOMIAL,
     DEFAULT_ALPHA,
@@ -38,11 +42,7 @@ from .verdicts import (
     statistic_pvalue,
 )
 
-EXHAUSTIVE_SEARCH_CAP = 24
-SPECTRUM_CAP = 16
 INVARIANCE_CAP = 12
-
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def verdict_under_relabeling(
 class FlipSearchResult:
     mask: RelabelMask
     audit: AuditResult
-    method: str  # 'exhaustive' | 'constructive'
+    method: str  # 'closed-form' | 'dp'
     guaranteed_minimal: bool
 
     def as_dict(self, emit_witness: bool = False) -> dict:
@@ -119,13 +119,6 @@ class FlipSearchResult:
         }
 
 
-def _stat_values(x: np.ndarray, n: int, test: str) -> np.ndarray:
-    if test == RUNS:
-        pair_mask = np.uint32((1 << (n - 1)) - 1)
-        return _popcount((x ^ (x >> np.uint32(1))) & pair_mask) + 1
-    return _popcount(x)
-
-
 def _rejected_by_stat(test: str, n: int, alpha: Fraction, convention: str) -> list[bool]:
     flags = [False] * (n + 1)
     for v in statistic_domain(test, n):
@@ -133,23 +126,58 @@ def _rejected_by_stat(test: str, n: int, alpha: Fraction, convention: str) -> li
     return flags
 
 
-def _reverse_bits(values: np.ndarray, n: int) -> np.ndarray:
-    rev = np.zeros_like(values)
-    one = np.uint32(1)
-    for i in range(n):
-        rev |= ((values >> np.uint32(i)) & one) << np.uint32(n - 1 - i)
-    return rev
+def _binomial_reversal(bits: tuple[int, ...], k: int, targets: list[int]) -> tuple[bool, ...]:
+    """Fewest flips carrying the head count k into ``targets``.
+
+    Each flip moves k by one, so with d the distance to the nearest
+    target exactly d flips are needed: d zeros flipped to reach k + d, or
+    d ones to reach k - d.  Flipping the last d of them gives the
+    smallest flip string; if both k + d and k - d are targets, the
+    smaller of the two strings wins.
+    """
+    d = min(abs(v - k) for v in targets)
+    options = []
+    for target, bit in ((k + d, 0), (k - d, 1)):
+        if target in targets:
+            chosen = set([i for i, b in enumerate(bits) if b == bit][-d:])
+            options.append(tuple(i in chosen for i in range(len(bits))))
+    return min(options)
 
 
-def _sequence_with_statistic(test: str, n: int, value: int) -> BinarySequence:
-    """Some sequence attaining the given statistic value."""
-    if test == BINOMIAL:
-        return BinarySequence((1,) * value + (0,) * (n - value))
-    bits: list[int] = []
-    for block in range(value):
-        size = 1 if block < value - 1 else n - (value - 1)
-        bits.extend([block % 2] * size)
-    return BinarySequence(tuple(bits))
+def _runs_reversal(bits: tuple[int, ...], targets: list[int]) -> tuple[bool, ...]:
+    """Fewest flips carrying the run count into ``targets``.
+
+    The relabeled sequence breaks between positions i and i + 1 iff
+    bits[i] ^ bits[i + 1] ^ m[i] ^ m[i + 1] is set, and b breaks make
+    b + 1 runs.  ``cost[i, c, b]`` is the fewest flips among positions
+    after i, given m[i] = c and b breaks before position i, that end on a
+    target run count (n + 1 or more if none does).  The forward pass takes bit 0 wherever it still attains the
+    optimum, which yields the smallest flip string among the fewest-flip
+    masks.  Time and memory are O(n^2).
+    """
+    n = len(bits)
+    inf = n + 1
+    cost = np.full((n, 2, n + 1), inf, dtype=np.int32)
+    cost[n - 1, :, [r - 1 for r in targets]] = 0
+    flip_cost = np.array([[0], [1]], dtype=np.int32)
+    for i in range(n - 2, -1, -1):
+        # Row c of ``keep`` continues with m[i + 1] = c ^ edge, which adds
+        # no break; the reversed rows continue with the other bit and add one.
+        keep = cost[i + 1] + flip_cost
+        if bits[i] ^ bits[i + 1]:
+            keep = keep[::-1]
+        cost[i, :, :n] = np.minimum(keep[:, :n], keep[::-1, 1:])
+    m = 0 if cost[0, 0, 0] <= 1 + cost[0, 1, 0] else 1
+    flips = [m]
+    remaining = int(cost[0, m, 0])
+    breaks = 0
+    for i in range(n - 1):
+        x = bits[i] ^ bits[i + 1] ^ m  # break added if m[i + 1] = 0
+        m = 0 if cost[i + 1, 0, breaks + x] == remaining else 1
+        breaks += x ^ m
+        remaining -= m
+        flips.append(m)
+    return tuple(bool(f) for f in flips)
 
 
 def find_flipping_mask(
@@ -158,132 +186,49 @@ def find_flipping_mask(
     alpha: Fraction = DEFAULT_ALPHA,
     convention: str = ONE_SIDED,
     minimize: bool = False,
-    exhaustive_cap: int = EXHAUSTIVE_SEARCH_CAP,
 ) -> FlipSearchResult | None:
-    """Find a mask under which the test's verdict reverses, if any exists.
+    """The fewest-flip mask under which the test's verdict reverses, if any.
 
-    Existence is decided exactly at any length: a reversal exists iff
-    some statistic value carries the opposite verdict, since every value
-    is reachable through some mask.  Within the exhaustive cap the mask
-    space is scanned directly; ``minimize`` then returns the fewest-flip
-    reversal, ties broken by the lexicographically smallest flip
-    pattern.  Beyond the cap a constructive mask is built and greedily
-    pruned, and the result is labeled not guaranteed minimal.
+    A reversal exists iff some statistic value carries the opposite
+    verdict, since every value is reachable through some mask.  The mask
+    returned has the fewest flips, ties broken by the lexicographically
+    smallest flip string, at every length: the head count is solved in
+    closed form (``method="closed-form"``), the run count by a dynamic
+    program (``method="dp"``).  ``minimize`` is still accepted but no
+    longer selects anything; every result is guaranteed minimal.
     """
     alpha = as_probability(alpha)
     n = seq.n
     flags = _rejected_by_stat(test, n, alpha, convention)
-    original_stat = _run_test(seq, test, alpha, convention).statistic
-    original_rejected = flags[original_stat]
-    candidates = [v for v in statistic_domain(test, n) if flags[v] != original_rejected]
-    if not candidates:
+    original = _run_test(seq, test, alpha, convention)
+    targets = [v for v in statistic_domain(test, n) if flags[v] != original.rejected]
+    if not targets:
         return None
-
-    if n <= exhaustive_cap:
-        mask_int = _exhaustive_search(seq.as_int(), n, test, flags, original_rejected, minimize)
-        mask = RelabelMask.from_int(mask_int, n)
-        audit = verdict_under_relabeling(seq, mask, test, alpha, convention)
-        if not audit.flipped:  # pragma: no cover - guarded by construction
-            raise AssertionError("exhaustive search returned a non-reversing mask")
-        return FlipSearchResult(mask, audit, "exhaustive", guaranteed_minimal=minimize)
-
-    # Constructive fallback: steer toward the candidate statistic with the
-    # most extreme admissible p-value, then drop unnecessary flips.
-    def p_of(v: int) -> Fraction:
-        return statistic_pvalue(test, n, v, convention)[1]
-
-    if original_rejected:
-        target_stat = max(candidates, key=lambda v: (p_of(v), -v))
+    if test == RUNS:
+        flips, method = _runs_reversal(seq.bits, targets), "dp"
     else:
-        target_stat = min(candidates, key=lambda v: (p_of(v), v))
-    target = _sequence_with_statistic(test, n, target_stat)
-    mask = mask_between(seq, target)
-    mask = _greedy_prune(seq, mask, test, alpha, convention)
+        flips, method = _binomial_reversal(seq.bits, original.statistic, targets), "closed-form"
+    mask = RelabelMask(flips)
     audit = verdict_under_relabeling(seq, mask, test, alpha, convention)
-    if not audit.flipped:  # pragma: no cover - target chosen from candidates
-        raise AssertionError("constructive fallback failed to reverse the verdict")
-    return FlipSearchResult(mask, audit, "constructive", guaranteed_minimal=False)
+    if not audit.flipped:  # pragma: no cover - targets carry the opposite verdict
+        raise AssertionError("minimal reversal search returned a non-reversing mask")
+    return FlipSearchResult(mask, audit, method, guaranteed_minimal=True)
 
 
-def _exhaustive_search(
-    seq_int: int,
-    n: int,
-    test: str,
-    flags: list[bool],
-    original_rejected: bool,
-    minimize: bool,
-) -> int:
-    rejected_by_stat = np.array(flags, dtype=bool)
-    best: tuple[int, int, int] | None = None  # (weight, revkey, mask)
-    for start in range(0, 1 << n, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.uint32)
-        stats = _stat_values(masks ^ np.uint32(seq_int), n, test)
-        flips = rejected_by_stat[stats] != original_rejected
-        if not flips.any():
-            continue
-        found = masks[flips]
-        if not minimize:
-            return int(found[0])
-        weights = _popcount(found)
-        w = int(weights.min())
-        if best is not None and w > best[0]:
-            continue
-        lightest = found[weights == w]
-        keys = _reverse_bits(lightest, n)
-        i = int(np.argmin(keys))
-        entry = (w, int(keys[i]), int(lightest[i]))
-        if best is None or entry[:2] < best[:2]:
-            best = entry
-    if best is None:  # pragma: no cover - caller established existence
-        raise AssertionError("no reversing mask found despite candidate statistics")
-    return best[2]
-
-
-def _greedy_prune(
-    seq: BinarySequence,
-    mask: RelabelMask,
-    test: str,
-    alpha: Fraction,
-    convention: str,
-) -> RelabelMask:
-    """Drop flips, earliest position first, while the reversal survives."""
-    flips = list(mask.flips)
-    original_rejected = _run_test(seq, test, alpha, convention).rejected
-
-    def still_flips() -> bool:
-        candidate = apply_relabeling(seq, RelabelMask(tuple(flips)))
-        return _run_test(candidate, test, alpha, convention).rejected != original_rejected
-
-    for i in range(len(flips)):
-        if not flips[i]:
-            continue
-        flips[i] = False
-        if not still_flips():
-            flips[i] = True
-    return RelabelMask(tuple(flips))
-
-
-def pvalue_spectrum(
-    seq: BinarySequence,
-    test: str,
-    convention: str = ONE_SIDED,
-    cap: int = SPECTRUM_CAP,
-) -> Counter:
+def pvalue_spectrum(seq: BinarySequence, test: str, convention: str = ONE_SIDED) -> Counter:
     """Multiset of p-values of the relabeled sequence over all 2^n masks.
 
-    Distinct statistic values may share a p-value (the runs tails are
-    symmetric), so counts are merged per exact probability.
+    Exactly one mask carries ``seq`` to each sequence of {0,1}^n, so the
+    count for a statistic value is its null count, 2*C(n-1, r-1) runs or
+    C(n, k) heads, whatever ``seq`` is.  Distinct statistic values may
+    share a p-value (the runs tails are symmetric), so counts are merged
+    per exact probability.
     """
     n = seq.n
-    if n > cap:
-        raise CapExceededError(f"spectrum over 2^{n} masks exceeds cap {cap}")
-    x = np.arange(1 << n, dtype=np.uint32) ^ np.uint32(seq.as_int())
-    stats = _stat_values(x, n, test)
-    tallies = np.bincount(stats, minlength=n + 1)
     spectrum: Counter = Counter()
     for v in statistic_domain(test, n):
-        if tallies[v]:
-            spectrum[statistic_pvalue(test, n, v, convention)[1]] += int(tallies[v])
+        count = runs_count_exact(n, v) if test == RUNS else comb(n, v)
+        spectrum[statistic_pvalue(test, n, v, convention)[1]] += count
     return spectrum
 
 

@@ -99,7 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", choices=_TESTS, required=True)
     _add_alpha_arg(p)
     _add_convention_arg(p)
-    p.add_argument("--minimize", action="store_true", help="fewest flips, lexicographic tie-break")
+    p.add_argument(
+        "--minimize",
+        action="store_true",
+        help="accepted and echoed in the report; every search already returns the fewest flips, "
+        "lexicographic tie-break",
+    )
     p.add_argument("--emit-witness", action="store_true")
     p.add_argument("--pretty", action="store_true")
 

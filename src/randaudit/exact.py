@@ -31,7 +31,10 @@ CONVENTIONS = (ONE_SIDED, TWO_SIDED_DOUBLED)
 # Full enumeration of {0,1}^n is refused above this length.
 ENUMERATION_CAP = 24
 
-_CHUNK = 1 << 20
+# Enumeration works through 2^16 sequences at a time, so its arrays stay
+# near 256 KiB each and a process's peak memory does not grow with n.
+_CHUNK = 1 << 16
+_KERNEL_BITS = 32  # enumeration packs each sequence in a uint32
 
 
 class CapExceededError(ValueError):
@@ -185,30 +188,22 @@ def enumerate_runs_distribution(n: int, cap: int = ENUMERATION_CAP) -> RunsDistr
 
     This is the oracle route: independent of the closed form above.  The
     run count of a packed sequence x is one more than the number of set
-    bits in ``x ^ (x >> 1)`` restricted to the n-1 adjacent pairs.
+    bits in ``x ^ (x >> 1)`` restricted to the n-1 adjacent pairs.  The
+    kernel packs sequences in uint32, so n above 32 is refused whatever
+    the cap.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
-    if n > cap:
-        raise CapExceededError(f"enumeration over 2^{n} sequences exceeds cap {cap}")
+    limit = min(cap, _KERNEL_BITS)
+    if n > limit:
+        raise CapExceededError(f"enumeration over 2^{n} sequences exceeds cap {limit}")
     counts = np.zeros(n + 1, dtype=np.int64)
     pair_mask = (1 << (n - 1)) - 1
     for start in range(0, 1 << n, _CHUNK):
         x = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.uint32)
-        r = _popcount((x ^ (x >> np.uint32(1))) & np.uint32(pair_mask)) + 1
+        r = np.bitwise_count((x ^ (x >> np.uint32(1))) & np.uint32(pair_mask)) + 1
         counts += np.bincount(r, minlength=n + 1)
     return RunsDistribution(n, tuple(int(c) for c in counts[1:]))
-
-
-def _popcount(values: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(values).astype(np.int64)
-    v = values.astype(np.uint32)
-    total = np.zeros(v.shape, dtype=np.int64)
-    table = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-    for shift in (0, 8, 16, 24):
-        total += table[(v >> np.uint32(shift)) & np.uint32(0xFF)]
-    return total
 
 
 def _runs_tail_count(n: int, r: int, tail: str) -> int:

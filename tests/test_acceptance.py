@@ -18,9 +18,12 @@ need the asymmetric set {1, 2, 9}, which breaks the tail rule above.
 import json
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 from randaudit import (
     BINOMIAL,
@@ -48,6 +51,7 @@ from randaudit import (
     runs_distribution,
     runs_pvalue,
     runs_test,
+    statistic_pvalue,
     verdict_under_relabeling,
 )
 from randaudit.cli import run_cli
@@ -173,13 +177,24 @@ def test_c06_group_and_measure_properties():
                     assert apply_relabeling(relabeled, mask).bits == seq.bits
                     assert mask_between(seq, relabeled) == mask
 
-        # Spectrum multiset equality across every seed sequence.
+        # Spectrum equality across every seed sequence, each checked
+        # against a tally of the statistic over every mask XORed into it.
         for n in range(1, 13):
+            masks = np.arange(1 << n, dtype=np.uint32)
             for test in (RUNS, BINOMIAL):
-                reference = pvalue_spectrum(BinarySequence.from_int(0, n), test)
-                assert sum(reference.values()) == 1 << n
-                for s in range(1, 1 << n):
-                    assert pvalue_spectrum(BinarySequence.from_int(s, n), test) == reference
+                spectra = {}  # statistic tally -> its p-value multiset
+                for s in range(1 << n):
+                    y = masks ^ np.uint32(s)
+                    if test == RUNS:
+                        y = (y ^ (y >> np.uint32(1))) & np.uint32((1 << (n - 1)) - 1)
+                    stats = np.bitwise_count(y) + (1 if test == RUNS else 0)
+                    tally = tuple(np.bincount(stats).tolist())
+                    if tally not in spectra:
+                        spectra[tally] = Counter()
+                        for v, count in enumerate(tally):
+                            if count:
+                                spectra[tally][statistic_pvalue(test, n, v)[1]] += count
+                    assert pvalue_spectrum(BinarySequence.from_int(s, n), test) == spectra[tally]
 
 
 def _brute_force_minimal(seq, test, alpha, convention):
@@ -244,8 +259,12 @@ def test_c08_exact_size_vs_simulation():
 
 
 def test_c08_companion_enumerated_size():
-    """Criterion 8 cross-checked by enumeration: tallying every length-9 sequence gives 36/512."""
-    with criterion("8*", "companion: Monte Carlo within 4 SE of the enumerated 36/512, under 10 s"):
+    """Criterion 8 cross-checked by enumeration: tallying every length-9 sequence gives 36/512.
+
+    The Monte Carlo side is c08's alone; repeating it here with the same
+    seed would check nothing new.
+    """
+    with criterion("8*", "companion: enumerated runs rejection size 36/512 at n = 9, under 10 s"):
         t0 = time.perf_counter()
         region = rejection_set(RUNS, 9, ALPHA)
         assert region.exact_size == Fraction(36, 512)
@@ -255,10 +274,6 @@ def test_c08_companion_enumerated_size():
             runs_test(BinarySequence(bits), ALPHA).rejected for bits in product((0, 1), repeat=9)
         )
         assert Fraction(hits, 512) == region.exact_size
-        estimate = rejection_rate(SourceModel.fair(), RUNS, 9, ALPHA, trials=100_000, seed=8)
-        p = float(region.exact_size)
-        se = (p * (1 - p) / estimate.trials) ** 0.5
-        assert abs(estimate.rate - p) <= 4 * se
         assert time.perf_counter() - t0 < 10.0
 
 

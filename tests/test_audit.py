@@ -1,8 +1,11 @@
 """Relabeling audits: reversal quartet, flip search, spectrum, invariance."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from randaudit import (
@@ -16,12 +19,16 @@ from randaudit import (
     apply_relabeling,
     binomial_test,
     check_null_invariance,
+    enumerate_runs_distribution,
     find_flipping_mask,
     mask_between,
     mask_from_index_set,
     parse_sequence,
     pvalue_spectrum,
+    rejection_set,
+    runs_distribution,
     runs_test,
+    statistic_pvalue,
     verdict_under_relabeling,
 )
 
@@ -108,12 +115,39 @@ def _brute_force_minimal(seq: BinarySequence, test: str, alpha: Fraction, conven
     return None if best is None else best[1]
 
 
+def _packed_statistic(values, n: int, test: str):
+    """Run count or head count of sequences packed as ints, position 1 in bit 0."""
+    if test == RUNS:
+        return ((values ^ (values >> 1)) & ((1 << (n - 1)) - 1)).bit_count() + 1
+    return values.bit_count()
+
+
+def _packed_scan_minimal(seq: BinarySequence, test: str, alpha: Fraction, convention: str):
+    """Independent search over every mask as a packed int, in numpy."""
+    n = seq.n
+    rejected = np.zeros(n + 1, dtype=bool)
+    rejected[list(rejection_set(test, n, alpha, convention).statistic_values)] = True
+    x = seq.as_int()
+    masks = np.arange(1 << n, dtype=np.int64)
+    y = masks ^ x
+    if test == RUNS:
+        stats = np.bitwise_count((y ^ (y >> 1)) & ((1 << (n - 1)) - 1)) + 1
+    else:
+        stats = np.bitwise_count(y)
+    found = masks[rejected[stats] != rejected[_packed_statistic(x, n, test)]]
+    if found.size == 0:
+        return None
+    weights = np.bitwise_count(found)
+    lightest = found[weights == weights.min()]
+    return min(RelabelMask.from_int(int(m), n).flip_string() for m in lightest)
+
+
 class TestFlipSearch:
     def test_exists_for_blocky_runs(self):
         result = find_flipping_mask(parse_sequence(B), RUNS, ALPHA)
         assert result is not None
         assert result.audit.flipped
-        assert result.method == "exhaustive"
+        assert result.method == "dp"
         # the X relabeling qualifies too
         assert verdict_under_relabeling(parse_sequence(B), X_MASK, RUNS, ALPHA).flipped
 
@@ -158,11 +192,42 @@ class TestFlipSearch:
     def test_constructive_fallback_beyond_cap(self):
         seq = BinarySequence((0, 1) * 15)  # n = 30, strictly alternating, rejected
         assert runs_test(seq, ALPHA).rejected
-        result = find_flipping_mask(seq, RUNS, ALPHA, minimize=True)
+        result = find_flipping_mask(seq, RUNS, ALPHA)
         assert result is not None
-        assert result.method == "constructive"
-        assert not result.guaranteed_minimal
+        assert result.method == "dp"
+        assert result.guaranteed_minimal
         assert result.audit.flipped
+        assert result.mask.flip_count() == 5
+        # Packed-int scan of every mask of weight <= 5, C(30, <= 5) in all:
+        # none lighter reverses, and no weight-5 reversal has a smaller
+        # flip string.
+        n, x = seq.n, seq.as_int()
+        rejected = set(rejection_set(RUNS, n, ALPHA).statistic_values)
+        reversing = {w: [] for w in range(6)}
+        for w in range(6):
+            for positions in combinations(range(n), w):
+                m = sum(1 << i for i in positions)
+                if _packed_statistic(x ^ m, n, RUNS) not in rejected:
+                    reversing[w].append(m)
+        assert all(not reversing[w] for w in range(5))
+        smallest = min(RelabelMask.from_int(m, n).flip_string() for m in reversing[5])
+        assert result.mask.flip_string() == smallest
+
+    @pytest.mark.parametrize("case", range(24))
+    def test_matches_packed_scan_beyond_c07(self, case):
+        rng = random.Random(7000 + case)
+        n = rng.randint(13, 18)
+        seq = BinarySequence(tuple(rng.randint(0, 1) for _ in range(n)))
+        test = (RUNS, BINOMIAL)[case % 2]
+        convention = (ONE_SIDED, TWO_SIDED_DOUBLED)[case // 2 % 2]
+        alpha = (Fraction(1, 100), Fraction(1, 20), Fraction(1, 3))[case // 4 % 3]
+        result = find_flipping_mask(seq, test, alpha, convention)
+        expected = _packed_scan_minimal(seq, test, alpha, convention)
+        if expected is None:
+            assert result is None
+        else:
+            assert result is not None and result.guaranteed_minimal
+            assert result.mask.flip_string() == expected
 
     def test_absence_is_exact_beyond_cap(self):
         # With alpha below every attainable tail nothing is ever
@@ -171,10 +236,11 @@ class TestFlipSearch:
         assert find_flipping_mask(seq, RUNS, Fraction(1, 2**40)) is None
 
     def test_small_cap_forces_constructive(self):
+        # Without ``minimize`` the search is still the exact minimum.
         seq = parse_sequence(B)
-        result = find_flipping_mask(seq, RUNS, ALPHA, exhaustive_cap=4)
+        result = find_flipping_mask(seq, RUNS, ALPHA)
         assert result is not None
-        assert result.method == "constructive"
+        assert result.mask == _brute_force_minimal(seq, RUNS, ALPHA, ONE_SIDED)
         assert result.audit.flipped
 
 
@@ -203,10 +269,15 @@ class TestSpectrum:
         assert spec == {Fraction(1, 4): 2, Fraction(3, 4): 2}
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            pvalue_spectrum(BinarySequence((0,) * 17), RUNS)
-        # and an explicit override
-        assert sum(pvalue_spectrum(BinarySequence((0,) * 4), RUNS, cap=4).values()) == 16
+        # No cap: the spectrum is the null law at any length, checked
+        # against enumeration at n = 17 and the closed form at n = 40.
+        for n, dist in ((17, enumerate_runs_distribution(17)), (40, runs_distribution(40))):
+            spec = pvalue_spectrum(BinarySequence((0,) * n), RUNS)
+            assert sum(spec.values()) == 2**n
+            expected = Counter()
+            for r in range(1, n + 1):
+                expected[statistic_pvalue(RUNS, n, r)[1]] += dist.count(r)
+            assert spec == expected
 
 
 class TestNullInvariance:

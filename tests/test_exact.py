@@ -65,6 +65,12 @@ class TestRunsCounts:
         with pytest.raises(CapExceededError):
             enumerate_runs_distribution(6, cap=5)
 
+    def test_enumeration_refuses_lengths_beyond_uint32(self):
+        # The kernel packs sequences in uint32; a raised cap must not let
+        # it scan 2^32 masks before overflowing.
+        with pytest.raises(CapExceededError):
+            enumerate_runs_distribution(33, cap=40)
+
     @pytest.mark.parametrize("n", [1, 2, 7, 33, 60])
     def test_normalization_closed_form(self, n):
         assert sum(runs_count_exact(n, r) for r in range(1, n + 1)) == 2**n
