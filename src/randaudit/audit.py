@@ -25,11 +25,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
-from .exact import CapExceededError, ONE_SIDED, as_probability, runs_count_exact
+from .exact import CapExceededError, ONE_SIDED, as_probability
 from .sequences import BinarySequence, RelabelMask, apply_relabeling
 from .verdicts import (
     BINOMIAL,
@@ -37,7 +36,9 @@ from .verdicts import (
     RUNS,
     TestVerdict,
     binomial_test,
+    rejection_set,
     runs_test,
+    statistic_count,
     statistic_domain,
     statistic_pvalue,
 )
@@ -119,13 +120,6 @@ class FlipSearchResult:
         }
 
 
-def _rejected_by_stat(test: str, n: int, alpha: Fraction, convention: str) -> list[bool]:
-    flags = [False] * (n + 1)
-    for v in statistic_domain(test, n):
-        flags[v] = statistic_pvalue(test, n, v, convention)[1] <= alpha
-    return flags
-
-
 def _binomial_reversal(bits: tuple[int, ...], k: int, targets: list[int]) -> tuple[bool, ...]:
     """Fewest flips carrying the head count k into ``targets``.
 
@@ -198,10 +192,9 @@ def find_flipping_mask(
     longer selects anything; every result is guaranteed minimal.
     """
     alpha = as_probability(alpha)
-    n = seq.n
-    flags = _rejected_by_stat(test, n, alpha, convention)
+    rejected = frozenset(rejection_set(test, seq.n, alpha, convention).statistic_values)
     original = _run_test(seq, test, alpha, convention)
-    targets = [v for v in statistic_domain(test, n) if flags[v] != original.rejected]
+    targets = [v for v in statistic_domain(test, seq.n) if (v in rejected) != original.rejected]
     if not targets:
         return None
     if test == RUNS:
@@ -227,8 +220,7 @@ def pvalue_spectrum(seq: BinarySequence, test: str, convention: str = ONE_SIDED)
     n = seq.n
     spectrum: Counter = Counter()
     for v in statistic_domain(test, n):
-        count = runs_count_exact(n, v) if test == RUNS else comb(n, v)
-        spectrum[statistic_pvalue(test, n, v, convention)[1]] += count
+        spectrum[statistic_pvalue(test, n, v, convention)[1]] += statistic_count(test, n, v)
     return spectrum
 
 

@@ -2,8 +2,9 @@
 
 Every subcommand prints one JSON report to stdout (or a human table
 with ``--pretty``).  Exit codes: 0 success, 2 usage or input-parsing
-error, 1 computation error such as an exceeded enumeration cap, and 1
-when ``reproduce-paper`` detects a deviation from its pinned values.
+error, 1 computation error such as an exceeded enumeration cap or a
+length beyond the exact-tail limit, and 1 when ``reproduce-paper``
+detects a deviation from its pinned values.
 """
 
 from __future__ import annotations
@@ -320,13 +321,9 @@ def _cmd_distribution(args) -> int:
     if args.format == "csv":
         sys.stdout.write(dist.to_csv())
         return 0
-    report = build_report(
-        "distribution",
-        {"n": args.n, "oracle": bool(args.oracle)},
-        [dist.to_json_dict()],
-        [],
-    )
-    lines = [f"r={row['r']:>3}  count={row['count']}  pmf={row['pmf']['decimal']}" for row in dist.to_json_dict()["rows"]]
+    table = dist.to_json_dict()
+    report = build_report("distribution", {"n": args.n, "oracle": bool(args.oracle)}, [table], [])
+    lines = [f"r={row['r']:>3}  count={row['count']}  pmf={row['pmf']['decimal']}" for row in table["rows"]]
     _emit(args, report, lines)
     return 0
 

@@ -5,18 +5,30 @@ every length-n sequence has probability 2^-n, so every tail probability
 is a dyadic rational.  All computations here use exact integer and
 Fraction arithmetic; decimals exist only as renderings.
 
-Two independent routes produce the run-count law.  The closed form,
-2*C(n-1, r-1) sequences with exactly r runs (choose which of the n-1
-adjacent pairs are breaks, times 2 for the first symbol), scales to any
-n.  The enumeration route tallies the statistic over all 2^n sequences
-and is the oracle the closed form is validated against in the tests.
+Every count and tail is a lookup in one cached table: the prefix sums of
+row m of Pascal's triangle, C(m, 0) + ... + C(m, j) for j = 0..m, filled
+by the recurrence C(m, j+1) = C(m, j)*(m-j)/(j+1).  The head count K of
+a length-n sequence is Binomial(n, 1/2), so it reads row m = n.  The run
+count R has 2*C(n-1, r-1) sequences with exactly r runs (choose which of
+the n-1 adjacent pairs are breaks, times 2 for the first symbol), so
+R - 1 is Binomial(n-1, 1/2) and it reads row m = n - 1.  A verdict-level
+call reads both rows, so the two most recently used tables are kept.
+
+A table holds about m^2 bits: 0.54 MB and 2 ms to build at m = 2047,
+3 MB and 10 ms at m = 5000.  Exact tails refuse lengths above
+TAIL_LENGTH_LIMIT = 5000 with CapExceededError, before anything is
+allocated.
+
+The enumeration route tallies the statistic over all 2^n sequences and
+is the oracle the table is validated against in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +47,16 @@ ENUMERATION_CAP = 24
 # near 256 KiB each and a process's peak memory does not grow with n.
 _CHUNK = 1 << 16
 _KERNEL_BITS = 32  # enumeration packs each sequence in a uint32
+
+# Exact tails are refused above this length.  Two cached tables then
+# take 6 MB, and 2^n has 1,506 decimal digits, within Python's 4,300-digit
+# limit on int-to-str conversion that JSON reports of counts rely on.  The
+# largest report, the exact distribution table, takes about 6 s and
+# 220 MB to render 44 MB of decimals at this length; at 10,000 it took
+# 37 s and 790 MB.
+TAIL_LENGTH_LIMIT = 5000
+# A verdict-level call reads the head-count row n and the run-count row n - 1.
+TAIL_TABLES_CACHED = 2
 
 
 class CapExceededError(ValueError):
@@ -82,10 +104,9 @@ def exact_decimal_string(p: Fraction) -> str:
     back to 12 rounded places.
     """
     den = p.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
+    twos = (den & -den).bit_length() - 1
+    den >>= twos
+    fives = 0
     while den % 5 == 0:
         den //= 5
         fives += 1
@@ -94,9 +115,13 @@ def exact_decimal_string(p: Fraction) -> str:
     k = max(twos, fives)
     if k == 0:
         return str(p.numerator)
-    digits = p.numerator * 10**k // p.denominator
-    text = f"{digits // 10**k}.{digits % 10**k:0{k}d}"
-    return text.rstrip("0").rstrip(".") if "." in text else text
+    # p * 10^k is an integer, as the denominator is 2^twos * 5^fives.
+    # Decimal renders it at any length; str() of an int refuses more
+    # than 4,300 digits.
+    scaled = p.numerator * 2 ** (k - twos) * 5 ** (k - fives)
+    digits = str(Decimal(scaled)).rjust(k + 1, "0")
+    text = f"{digits[:-k]}.{digits[-k:]}"
+    return text.rstrip("0").rstrip(".")
 
 
 def sequence_probability(n: int) -> Fraction:
@@ -106,16 +131,52 @@ def sequence_probability(n: int) -> Fraction:
     return Fraction(1, 1 << n)
 
 
+def _check_tail_length(n: int) -> None:
+    """Refuse a length outside 1..TAIL_LENGTH_LIMIT before any table is built."""
+    if n < 1:
+        raise ValueError("length must be at least 1")
+    if n > TAIL_LENGTH_LIMIT:
+        raise CapExceededError(f"exact tails at length {n} exceed the limit {TAIL_LENGTH_LIMIT}")
+
+
+@lru_cache(maxsize=TAIL_TABLES_CACHED)
+def _binomial_prefix_sums(m: int) -> tuple[int, ...]:
+    """``sums[j]`` = C(m, 0) + ... + C(m, j - 1), for j = 0..m + 1."""
+    sums = [0] * (m + 2)
+    c = 1
+    for j in range(m + 1):
+        sums[j + 1] = sums[j] + c
+        c = c * (m - j) // (j + 1)
+    return tuple(sums)
+
+
+def heads_count_between(n: int, lo: int, hi: int) -> int:
+    """Length-n sequences with between lo and hi ones: C(n, lo) + ... + C(n, hi)."""
+    _check_tail_length(n)
+    if not 0 <= lo <= hi <= n:
+        raise ValueError(f"count range {lo}..{hi} outside 0..{n}")
+    sums = _binomial_prefix_sums(n)
+    return sums[hi + 1] - sums[lo]
+
+
+def runs_count_between(n: int, lo: int, hi: int) -> int:
+    """Length-n sequences with between lo and hi runs: 2*(C(n-1, lo-1) + ... + C(n-1, hi-1))."""
+    _check_tail_length(n)
+    if not 1 <= lo <= hi <= n:
+        raise ValueError(f"run count range {lo}..{hi} outside 1..{n}")
+    sums = _binomial_prefix_sums(n - 1)
+    return 2 * (sums[hi] - sums[lo - 1])
+
+
 def runs_count_exact(n: int, r: int) -> int:
     """Number of length-n binary sequences with exactly r runs.
 
-    Closed form 2*C(n-1, r-1); the enumeration oracle below certifies it.
+    2*C(n-1, r-1), read from the table; the enumeration oracle below
+    certifies it.
     """
-    if n < 1:
-        raise ValueError("length must be at least 1")
     if not 1 <= r <= n:
         raise ValueError(f"run count {r} out of range 1..{n}")
-    return 2 * comb(n - 1, r - 1)
+    return runs_count_between(n, r, r)
 
 
 @dataclass(frozen=True)
@@ -177,16 +238,16 @@ class RunsDistribution:
 
 
 def runs_distribution(n: int) -> RunsDistribution:
-    """Run-count distribution from the closed form; any n."""
-    if n < 1:
-        raise ValueError("length must be at least 1")
-    return RunsDistribution(n, tuple(runs_count_exact(n, r) for r in range(1, n + 1)))
+    """Run-count distribution from the table, for n up to TAIL_LENGTH_LIMIT."""
+    _check_tail_length(n)
+    sums = _binomial_prefix_sums(n - 1)
+    return RunsDistribution(n, tuple(2 * (b - a) for a, b in zip(sums, sums[1:])))
 
 
 def enumerate_runs_distribution(n: int, cap: int = ENUMERATION_CAP) -> RunsDistribution:
     """Run-count distribution by tallying the statistic over all 2^n sequences.
 
-    This is the oracle route: independent of the closed form above.  The
+    This is the oracle route: independent of the table above.  The
     run count of a packed sequence x is one more than the number of set
     bits in ``x ^ (x >> 1)`` restricted to the n-1 adjacent pairs.  The
     kernel packs sequences in uint32, so n above 32 is refused whatever
@@ -206,22 +267,19 @@ def enumerate_runs_distribution(n: int, cap: int = ENUMERATION_CAP) -> RunsDistr
     return RunsDistribution(n, tuple(int(c) for c in counts[1:]))
 
 
-def _runs_tail_count(n: int, r: int, tail: str) -> int:
-    if tail == "lower":
-        return sum(runs_count_exact(n, i) for i in range(1, r + 1))
-    if tail == "upper":
-        return sum(runs_count_exact(n, i) for i in range(r, n + 1))
-    raise ValueError(f"unknown tail {tail!r}; expected 'lower' or 'upper'")
-
-
 def runs_pvalue(n: int, r: int, tail: str) -> Fraction:
     """Exact tail probability of the run count under the uniform null.
 
-    ``lower`` gives P(R <= r), ``upper`` gives P(R >= r).
+    ``lower`` gives P(R <= r), ``upper`` gives P(R >= r); both are one
+    table lookup.
     """
     if not 1 <= r <= n:
         raise ValueError(f"run count {r} out of range 1..{n}")
-    return Fraction(_runs_tail_count(n, r, tail), 1 << n)
+    if tail == "lower":
+        return Fraction(runs_count_between(n, 1, r), 1 << n)
+    if tail == "upper":
+        return Fraction(runs_count_between(n, r, n), 1 << n)
+    raise ValueError(f"unknown tail {tail!r}; expected 'lower' or 'upper'")
 
 
 def binomial_pvalue(n: int, k: int, convention: str = ONE_SIDED) -> Fraction:
@@ -232,16 +290,11 @@ def binomial_pvalue(n: int, k: int, convention: str = ONE_SIDED) -> Fraction:
     ``two-sided-doubled`` the one-sided value is doubled and clipped
     at 1.
     """
-    if n < 1:
-        raise ValueError("length must be at least 1")
     if not 0 <= k <= n:
         raise ValueError(f"count {k} out of range 0..{n}")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    if 2 * k >= n:
-        tail = sum(comb(n, i) for i in range(k, n + 1))
-    else:
-        tail = sum(comb(n, i) for i in range(0, k + 1))
+    tail = heads_count_between(n, k, n) if 2 * k >= n else heads_count_between(n, 0, k)
     p = Fraction(tail, 1 << n)
     if convention == TWO_SIDED_DOUBLED:
         p = min(Fraction(1), 2 * p)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .exact import (
     CONVENTIONS,
@@ -26,7 +25,8 @@ from .exact import (
     CapExceededError,
     as_probability,
     binomial_pvalue,
-    runs_count_exact,
+    heads_count_between,
+    runs_count_between,
     runs_pvalue,
 )
 from .sequences import BinarySequence, count_ones, count_runs
@@ -125,10 +125,13 @@ def statistic_pvalue(test: str, n: int, value: int, convention: str = ONE_SIDED)
     raise ValueError(f"unknown test {test!r}; expected one of {TESTS}")
 
 
-def _sequences_per_statistic(test: str, n: int, value: int) -> int:
+def statistic_count(test: str, n: int, value: int) -> int:
+    """Number of length-n sequences whose statistic equals ``value``, by table lookup."""
     if test == RUNS:
-        return runs_count_exact(n, value)
-    return comb(n, value)
+        return runs_count_between(n, value, value)
+    if test == BINOMIAL:
+        return heads_count_between(n, value, value)
+    raise ValueError(f"unknown test {test!r}; expected one of {TESTS}")
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,9 @@ def rejection_set(
 
     The exact size is the null probability of attaining any rejected
     value.  With ``include_sequences`` the sequences themselves are
-    listed, which requires n within the enumeration cap.
+    listed, which requires n within the enumeration cap; the statistic
+    is computed on each packed candidate and only the rejected ones
+    become sequences.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
@@ -182,20 +187,18 @@ def rejection_set(
     values = tuple(
         v for v in statistic_domain(test, n) if statistic_pvalue(test, n, v, convention)[1] <= alpha
     )
-    mass = sum(_sequences_per_statistic(test, n, v) for v in values)
+    mass = sum(statistic_count(test, n, v) for v in values)
     sequences = None
     if include_sequences:
         if n > cap:
             raise CapExceededError(f"explicit listing over 2^{n} sequences exceeds cap {cap}")
         wanted = frozenset(values)
-        from .sequences import count_ones as _ones, count_runs as _runs
-
-        stat = _runs if test == RUNS else _ones
-        sequences = tuple(
-            s
-            for s in (BinarySequence.from_int(x, n) for x in range(1 << n))
-            if stat(s) in wanted
-        )
+        if test == RUNS:
+            pairs = (1 << (n - 1)) - 1
+            candidates = (x for x in range(1 << n) if ((x ^ (x >> 1)) & pairs).bit_count() + 1 in wanted)
+        else:
+            candidates = (x for x in range(1 << n) if x.bit_count() in wanted)
+        sequences = tuple(BinarySequence.from_int(x, n) for x in candidates)
     return RejectionSet(
         test=test,
         n=n,

@@ -1,11 +1,12 @@
 """CLI surface: subcommands, exit codes, report stability."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from randaudit import runs_test, parse_sequence
+from randaudit import TAIL_LENGTH_LIMIT, runs_test, parse_sequence
 from randaudit.cli import run_cli
 
 
@@ -222,6 +223,25 @@ class TestErrorsAndStability:
         code, out, _ = invoke(capsys, "spectrum", "--seq", "H" * 17, "--test", "runs")
         assert code == 0
         assert sum(row["count"] for row in json.loads(out)["results"]) == 2**17
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("runs-test", "--seq", "HT" * (TAIL_LENGTH_LIMIT // 2) + "H"),
+            ("binomial-test", "--seq", "H" * (TAIL_LENGTH_LIMIT + 1)),
+            ("distribution", "--n", str(TAIL_LENGTH_LIMIT + 1)),
+            ("rejection-set", "--test", "runs", "--n", str(TAIL_LENGTH_LIMIT + 1)),
+            ("rejection-set", "--test", "binomial", "--n", "15000", "--explicit"),
+            ("simulate", "--test", "runs", "--n", str(TAIL_LENGTH_LIMIT + 1)),
+        ],
+        ids=["runs-test", "binomial-test", "distribution", "rejection-set", "rejection-set-explicit", "simulate"],
+    )
+    def test_length_beyond_tail_limit_fails_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert f"limit {TAIL_LENGTH_LIMIT}" in err
+        assert time.perf_counter() - start < 0.5
 
     def test_reports_are_byte_stable(self, capsys):
         args = ("audit", "--seq", "HTTHTHHHT", "--x-set", "1,4,9", "--test", "runs")

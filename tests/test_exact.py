@@ -1,15 +1,20 @@
 """Exact distributions: closed form against the enumeration oracle."""
 
+import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
+from randaudit import exact
 from randaudit import (
     BinarySequence,
     CapExceededError,
     ONE_SIDED,
+    TAIL_LENGTH_LIMIT,
     TWO_SIDED_DOUBLED,
     as_probability,
     binomial_pvalue,
@@ -155,6 +160,67 @@ class TestBinomialPvalues:
                 expected = Fraction(sum(comb(n, i) for i in range(0, k + 1)), 2**n)
             assert binomial_pvalue(n, k, ONE_SIDED) == expected
             assert binomial_pvalue(n, k, TWO_SIDED_DOUBLED) == min(Fraction(1), 2 * expected)
+
+
+def _comb_sum(m: int, lo: int, hi: int) -> int:
+    """C(m, lo) + ... + C(m, hi), straight from math.comb."""
+    return sum(comb(m, j) for j in range(lo, hi + 1))
+
+
+class TestTailTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 2047, 2048])
+    def test_tails_match_comb_sums(self, n):
+        # Both ends and the centre of each law, against sums written here.
+        total = 2**n
+        for r in sorted({1, 2, (n + 1) // 2, n // 2 + 1, n - 1, n} & set(range(1, n + 1))):
+            assert runs_pvalue(n, r, "lower") == Fraction(2 * _comb_sum(n - 1, 0, r - 1), total)
+            assert runs_pvalue(n, r, "upper") == Fraction(2 * _comb_sum(n - 1, r - 1, n - 1), total)
+            assert runs_count_exact(n, r) == 2 * comb(n - 1, r - 1)
+        for k in sorted({0, 1, n // 2, (n + 1) // 2, n - 1, n} & set(range(0, n + 1))):
+            tail = _comb_sum(n, k, n) if 2 * k >= n else _comb_sum(n, 0, k)
+            assert binomial_pvalue(n, k, ONE_SIDED) == Fraction(tail, total)
+            assert binomial_pvalue(n, k, TWO_SIDED_DOUBLED) == min(Fraction(1), Fraction(2 * tail, total))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 1000])
+    def test_distribution_matches_comb(self, n):
+        assert runs_distribution(n).counts == tuple(2 * comb(n - 1, r - 1) for r in range(1, n + 1))
+
+    def test_cache_holds_at_most_its_stated_tables(self):
+        cached = exact._binomial_prefix_sums
+        assert cached.cache_info().maxsize == exact.TAIL_TABLES_CACHED
+        for n in [*range(1, 200, 3), 512, 1023, 2048, 3001, TAIL_LENGTH_LIMIT]:
+            runs_pvalue(n, 1, "upper")
+            binomial_pvalue(n, n // 2)
+            runs_distribution(n)
+            assert cached.cache_info().currsize <= exact.TAIL_TABLES_CACHED
+
+    def test_limit_is_inclusive(self):
+        n = TAIL_LENGTH_LIMIT
+        assert runs_pvalue(n, 1, "lower") == Fraction(2, 2**n)
+        assert binomial_pvalue(n, n) == Fraction(1, 2**n)
+
+    def test_one_past_the_limit_is_refused_before_any_table(self):
+        n = TAIL_LENGTH_LIMIT + 1
+        misses = exact._binomial_prefix_sums.cache_info().misses
+        start = time.perf_counter()
+        for call in (
+            lambda: runs_pvalue(n, 1, "lower"),
+            lambda: binomial_pvalue(n, 0),
+            lambda: runs_distribution(n),
+            lambda: runs_count_exact(n, 1),
+        ):
+            with pytest.raises(CapExceededError):
+                call()
+        assert time.perf_counter() - start < 0.5
+        assert exact._binomial_prefix_sums.cache_info().misses == misses
+
+    def test_long_exact_decimals_render(self):
+        # 3/2^5000 has 5000 decimal places, beyond the 4,300 digits that
+        # str() of an int accepts.
+        p = Fraction(3, 2**5000)
+        text = exact_decimal_string(p)
+        assert text.startswith("0.") and len(text) == 5002
+        assert Fraction(Decimal(text)) == p
 
 
 class TestProbabilityHelpers:

@@ -16,11 +16,14 @@ from randaudit import (
     parse_sequence,
     rejection_set,
     runs_test,
+    statistic_count,
     statistic_domain,
     statistic_pvalue,
 )
 
 ALPHA = Fraction(1, 20)
+# 18/512 is the runs p-value of r = 2 and r = 8 at n = 9: p == alpha exactly.
+ALPHAS = (Fraction(0), Fraction(1, 100), Fraction(1, 20), Fraction(18, 512), Fraction(1, 2), Fraction(1))
 
 
 class TestRunsVerdicts:
@@ -135,6 +138,29 @@ class TestRejectionSets:
             verdict = runs_test(seq, ALPHA) if test == RUNS else binomial_test(seq, ALPHA)
             hits += verdict.rejected
         assert result.exact_size == Fraction(hits, 2**n)
+
+
+@pytest.mark.parametrize(
+    "test, convention", [(RUNS, ONE_SIDED), (BINOMIAL, ONE_SIDED), (BINOMIAL, TWO_SIDED_DOUBLED)]
+)
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rejection_set_against_rule_and_tally(test, convention, n):
+    # Tally every bit tuple by statistic, independently of the tables.
+    by_value = {}
+    for bits in product((0, 1), repeat=n):
+        stat = 1 + sum(a != b for a, b in zip(bits, bits[1:])) if test == RUNS else sum(bits)
+        by_value.setdefault(stat, []).append(bits)
+    for v in statistic_domain(test, n):
+        assert statistic_count(test, n, v) == len(by_value.get(v, []))
+    for alpha in ALPHAS:
+        result = rejection_set(test, n, alpha, convention, include_sequences=n <= 10)
+        rule = tuple(v for v in statistic_domain(test, n) if statistic_pvalue(test, n, v, convention)[1] <= alpha)
+        assert result.statistic_values == rule
+        hits = [bits for v in rule for bits in by_value.get(v, [])]
+        assert result.exact_size == Fraction(len(hits), 2**n)
+        if result.sequences is not None:
+            listed = [s.as_int() for s in result.sequences]
+            assert listed == sorted(BinarySequence(bits).as_int() for bits in hits)
 
 
 class TestStatisticHelpers:
