@@ -31,13 +31,11 @@ import numpy as np
 from .exact import CapExceededError, ONE_SIDED, as_probability
 from .sequences import BinarySequence, RelabelMask, apply_relabeling
 from .verdicts import (
-    BINOMIAL,
     DEFAULT_ALPHA,
     RUNS,
     TestVerdict,
-    binomial_test,
+    judge,
     rejection_set,
-    runs_test,
     statistic_count,
     statistic_domain,
     statistic_pvalue,
@@ -68,14 +66,6 @@ class AuditResult:
         return payload
 
 
-def _run_test(seq: BinarySequence, test: str, alpha: Fraction, convention: str) -> TestVerdict:
-    if test == RUNS:
-        return runs_test(seq, alpha)
-    if test == BINOMIAL:
-        return binomial_test(seq, alpha, convention)
-    raise ValueError(f"unknown test {test!r}")
-
-
 def verdict_under_relabeling(
     seq: BinarySequence,
     mask: RelabelMask,
@@ -85,12 +75,10 @@ def verdict_under_relabeling(
     relabeled_vocab: str | None = None,
 ) -> AuditResult:
     """Run one test on both readings of the same output."""
-    if seq.n != mask.n:
-        raise ValueError(f"sequence length {seq.n} does not match mask length {mask.n}")
     alpha = as_probability(alpha)
-    original = _run_test(seq, test, alpha, convention)
+    original = judge(seq, test, alpha, convention)
     relabeled_seq = apply_relabeling(seq, mask, vocab=relabeled_vocab)
-    relabeled = _run_test(relabeled_seq, test, alpha, convention)
+    relabeled = judge(relabeled_seq, test, alpha, convention)
     return AuditResult(
         original=original,
         relabeled=relabeled,
@@ -145,15 +133,19 @@ def _runs_reversal(bits: tuple[int, ...], targets: list[int]) -> tuple[bool, ...
     bits[i] ^ bits[i + 1] ^ m[i] ^ m[i + 1] is set, and b breaks make
     b + 1 runs.  ``cost[i, c, b]`` is the fewest flips among positions
     after i, given m[i] = c and b breaks before position i, that end on a
-    target run count (n + 1 or more if none does).  The forward pass takes bit 0 wherever it still attains the
-    optimum, which yields the smallest flip string among the fewest-flip
-    masks.  Time and memory are O(n^2).
+    target run count (n + 1 if none does).  One of the two continuations
+    takes m[i + 1] = 0 at no cost, so no entry exceeds n + 1 and the
+    table uses the narrowest unsigned type that holds n + 2.  The forward
+    pass takes bit 0 wherever it still attains the optimum, which yields
+    the smallest flip string among the fewest-flip masks.  Time and
+    memory are O(n^2).
     """
     n = len(bits)
     inf = n + 1
-    cost = np.full((n, 2, n + 1), inf, dtype=np.int32)
+    dtype = np.min_scalar_type(n + 2)
+    cost = np.full((n, 2, n + 1), inf, dtype=dtype)
     cost[n - 1, :, [r - 1 for r in targets]] = 0
-    flip_cost = np.array([[0], [1]], dtype=np.int32)
+    flip_cost = np.array([[0], [1]], dtype=dtype)
     for i in range(n - 2, -1, -1):
         # Row c of ``keep`` continues with m[i + 1] = c ^ edge, which adds
         # no break; the reversed rows continue with the other bit and add one.
@@ -193,7 +185,7 @@ def find_flipping_mask(
     """
     alpha = as_probability(alpha)
     rejected = frozenset(rejection_set(test, seq.n, alpha, convention).statistic_values)
-    original = _run_test(seq, test, alpha, convention)
+    original = judge(seq, test, alpha, convention)
     targets = [v for v in statistic_domain(test, seq.n) if (v in rejected) != original.rejected]
     if not targets:
         return None

@@ -21,6 +21,7 @@ from .audit import (
     verdict_under_relabeling,
 )
 from .exact import (
+    CONVENTIONS,
     CapExceededError,
     ONE_SIDED,
     TWO_SIDED_DOUBLED,
@@ -38,10 +39,7 @@ from .sequences import (
     parse_sequence,
 )
 from .simulate import parse_model, posterior_odds, rejection_rate, sample_sequence
-from .verdicts import BINOMIAL, RUNS, binomial_test, rejection_set, runs_test
-
-_CONVENTIONS = [ONE_SIDED, TWO_SIDED_DOUBLED]
-_TESTS = [RUNS, BINOMIAL]
+from .verdicts import TESTS, binomial_test, rejection_set, runs_test
 
 
 def _add_seq_args(p: argparse.ArgumentParser) -> None:
@@ -54,7 +52,7 @@ def _add_alpha_arg(p: argparse.ArgumentParser) -> None:
 
 
 def _add_convention_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--convention", choices=_CONVENTIONS, default=ONE_SIDED)
+    p.add_argument("--convention", choices=CONVENTIONS, default=ONE_SIDED)
 
 
 def _add_mask_args(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -89,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="verdicts before and after a relabeling")
     _add_seq_args(p)
     _add_mask_args(p)
-    p.add_argument("--test", choices=_TESTS, required=True)
+    p.add_argument("--test", choices=TESTS, required=True)
     _add_alpha_arg(p)
     _add_convention_arg(p)
     p.add_argument("--emit-witness", action="store_true", help="include the relabeled rendering")
@@ -97,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flip-search", help="find a verdict-reversing relabeling")
     _add_seq_args(p)
-    p.add_argument("--test", choices=_TESTS, required=True)
+    p.add_argument("--test", choices=TESTS, required=True)
     _add_alpha_arg(p)
     _add_convention_arg(p)
     p.add_argument(
@@ -111,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="p-value multiset over all relabelings")
     _add_seq_args(p)
-    p.add_argument("--test", choices=_TESTS, required=True)
+    p.add_argument("--test", choices=TESTS, required=True)
     _add_convention_arg(p)
     p.add_argument("--pretty", action="store_true")
 
@@ -122,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("rejection-set", help="statistic values rejected at a threshold")
-    p.add_argument("--test", choices=_TESTS, required=True)
+    p.add_argument("--test", choices=TESTS, required=True)
     p.add_argument("--n", type=int, required=True)
     _add_alpha_arg(p)
     _add_convention_arg(p)
@@ -131,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample a source and estimate the rejection rate")
     p.add_argument("--model", default="fair", help="fair | biased:p=NUM/DEN | markov:stay=NUM/DEN")
-    p.add_argument("--test", choices=_TESTS, required=True)
+    p.add_argument("--test", choices=TESTS, required=True)
     p.add_argument("--n", type=int, required=True)
     _add_alpha_arg(p)
     _add_convention_arg(p)
@@ -397,18 +395,22 @@ def _cmd_posterior(args) -> int:
     alt = parse_model(args.model)
     prior = Fraction(args.prior_odds)
     odds = posterior_odds(prior, alt, seq)
+    try:  # refuse odds the report cannot render, before any output
+        prior_text, text, approx = str(prior), str(odds), float(odds)
+    except (ValueError, OverflowError):  # int-to-str digit limit, float range
+        raise CapExceededError("posterior odds are too large or too precise to render") from None
     report = build_report(
         "posterior",
-        {"seq": seq.text(), "vocab": seq.vocab, "model": alt.spec_string(), "prior_odds": str(prior)},
+        {"seq": seq.text(), "vocab": seq.vocab, "model": alt.spec_string(), "prior_odds": prior_text},
         [
             {
                 "posterior_odds": {"num": odds.numerator, "den": odds.denominator},
-                "posterior_odds_float": float(odds),
+                "posterior_odds_float": approx,
             }
         ],
         [],
     )
-    _emit(args, report, [f"posterior odds = {odds} = {float(odds):.6g}"])
+    _emit(args, report, [f"posterior odds = {text} = {approx:.6g}"])
     return 0
 
 

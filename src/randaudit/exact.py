@@ -5,14 +5,16 @@ every length-n sequence has probability 2^-n, so every tail probability
 is a dyadic rational.  All computations here use exact integer and
 Fraction arithmetic; decimals exist only as renderings.
 
-Every count and tail is a lookup in one cached table: the prefix sums of
-row m of Pascal's triangle, C(m, 0) + ... + C(m, j) for j = 0..m, filled
-by the recurrence C(m, j+1) = C(m, j)*(m-j)/(j+1).  The head count K of
-a length-n sequence is Binomial(n, 1/2), so it reads row m = n.  The run
-count R has 2*C(n-1, r-1) sequences with exactly r runs (choose which of
-the n-1 adjacent pairs are breaks, times 2 for the first symbol), so
-R - 1 is Binomial(n-1, 1/2) and it reads row m = n - 1.  A verdict-level
-call reads both rows, so the two most recently used tables are kept.
+Every count and tail goes through one count kernel,
+:func:`binomial_count_between`, a lookup in one cached table: the prefix
+sums of row m of Pascal's triangle, C(m, 0) + ... + C(m, j) for
+j = 0..m, filled by the recurrence C(m, j+1) = C(m, j)*(m-j)/(j+1).  The
+head count K of a length-n sequence is Binomial(n, 1/2), so it reads row
+m = n.  The run count R has 2*C(n-1, r-1) sequences with exactly r runs
+(choose which of the n-1 adjacent pairs are breaks, times 2 for the
+first symbol), so R - 1 is Binomial(n-1, 1/2) and it reads row m = n - 1.
+A verdict-level call reads both rows, so the two most recently used
+tables are kept.
 
 A table holds about m^2 bits: 0.54 MB and 2 ms to build at m = 2047,
 3 MB and 10 ms at m = 5000.  Exact tails refuse lengths above
@@ -131,7 +133,7 @@ def sequence_probability(n: int) -> Fraction:
     return Fraction(1, 1 << n)
 
 
-def _check_tail_length(n: int) -> None:
+def check_tail_length(n: int) -> None:
     """Refuse a length outside 1..TAIL_LENGTH_LIMIT before any table is built."""
     if n < 1:
         raise ValueError("length must be at least 1")
@@ -150,22 +152,14 @@ def _binomial_prefix_sums(m: int) -> tuple[int, ...]:
     return tuple(sums)
 
 
-def heads_count_between(n: int, lo: int, hi: int) -> int:
-    """Length-n sequences with between lo and hi ones: C(n, lo) + ... + C(n, hi)."""
-    _check_tail_length(n)
-    if not 0 <= lo <= hi <= n:
-        raise ValueError(f"count range {lo}..{hi} outside 0..{n}")
-    sums = _binomial_prefix_sums(n)
+def binomial_count_between(m: int, lo: int, hi: int) -> int:
+    """C(m, lo) + ... + C(m, hi), from row m of the cached table; m is at most TAIL_LENGTH_LIMIT."""
+    if m > TAIL_LENGTH_LIMIT:
+        raise CapExceededError(f"binomial row {m} exceeds the limit {TAIL_LENGTH_LIMIT}")
+    if not 0 <= lo <= hi <= m:
+        raise ValueError(f"count range {lo}..{hi} outside 0..{m}")
+    sums = _binomial_prefix_sums(m)
     return sums[hi + 1] - sums[lo]
-
-
-def runs_count_between(n: int, lo: int, hi: int) -> int:
-    """Length-n sequences with between lo and hi runs: 2*(C(n-1, lo-1) + ... + C(n-1, hi-1))."""
-    _check_tail_length(n)
-    if not 1 <= lo <= hi <= n:
-        raise ValueError(f"run count range {lo}..{hi} outside 1..{n}")
-    sums = _binomial_prefix_sums(n - 1)
-    return 2 * (sums[hi] - sums[lo - 1])
 
 
 def runs_count_exact(n: int, r: int) -> int:
@@ -176,7 +170,8 @@ def runs_count_exact(n: int, r: int) -> int:
     """
     if not 1 <= r <= n:
         raise ValueError(f"run count {r} out of range 1..{n}")
-    return runs_count_between(n, r, r)
+    check_tail_length(n)
+    return 2 * binomial_count_between(n - 1, r - 1, r - 1)
 
 
 @dataclass(frozen=True)
@@ -197,18 +192,6 @@ class RunsDistribution:
 
     def pmf(self, r: int) -> Fraction:
         return Fraction(self.count(r), self.total)
-
-    def cdf(self, r: int) -> Fraction:
-        """P(R <= r) under the uniform null."""
-        if not 1 <= r <= self.n:
-            raise ValueError(f"run count {r} out of range 1..{self.n}")
-        return Fraction(sum(self.counts[: r]), self.total)
-
-    def sf(self, r: int) -> Fraction:
-        """P(R >= r) under the uniform null."""
-        if not 1 <= r <= self.n:
-            raise ValueError(f"run count {r} out of range 1..{self.n}")
-        return Fraction(sum(self.counts[r - 1 :]), self.total)
 
     def to_csv(self) -> str:
         lines = ["r,count,pmf-numerator,pmf-denominator,pmf-decimal"]
@@ -239,9 +222,8 @@ class RunsDistribution:
 
 def runs_distribution(n: int) -> RunsDistribution:
     """Run-count distribution from the table, for n up to TAIL_LENGTH_LIMIT."""
-    _check_tail_length(n)
-    sums = _binomial_prefix_sums(n - 1)
-    return RunsDistribution(n, tuple(2 * (b - a) for a, b in zip(sums, sums[1:])))
+    check_tail_length(n)
+    return RunsDistribution(n, tuple(2 * binomial_count_between(n - 1, j, j) for j in range(n)))
 
 
 def enumerate_runs_distribution(n: int, cap: int = ENUMERATION_CAP) -> RunsDistribution:
@@ -275,10 +257,11 @@ def runs_pvalue(n: int, r: int, tail: str) -> Fraction:
     """
     if not 1 <= r <= n:
         raise ValueError(f"run count {r} out of range 1..{n}")
+    check_tail_length(n)
     if tail == "lower":
-        return Fraction(runs_count_between(n, 1, r), 1 << n)
+        return Fraction(2 * binomial_count_between(n - 1, 0, r - 1), 1 << n)
     if tail == "upper":
-        return Fraction(runs_count_between(n, r, n), 1 << n)
+        return Fraction(2 * binomial_count_between(n - 1, r - 1, n - 1), 1 << n)
     raise ValueError(f"unknown tail {tail!r}; expected 'lower' or 'upper'")
 
 
@@ -294,7 +277,8 @@ def binomial_pvalue(n: int, k: int, convention: str = ONE_SIDED) -> Fraction:
         raise ValueError(f"count {k} out of range 0..{n}")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    tail = heads_count_between(n, k, n) if 2 * k >= n else heads_count_between(n, 0, k)
+    check_tail_length(n)
+    tail = binomial_count_between(n, k, n) if 2 * k >= n else binomial_count_between(n, 0, k)
     p = Fraction(tail, 1 << n)
     if convention == TWO_SIDED_DOUBLED:
         p = min(Fraction(1), 2 * p)

@@ -13,15 +13,25 @@ the relabeled first symbol maps to bit 1, so the mask flips exactly the
 positions outside X.  Masks compose by position-wise exclusive-or, which
 makes every mask its own inverse: the masks of length n form a group
 acting on the length-n sequences.
+
+Both are stored packed as ``(value, n)``: position i (1-based) is bit
+i - 1 of the integer ``value``.  Relabeling is then one exclusive-or, the
+head count a popcount, and the run count one more than the popcount of
+``value ^ (value >> 1)`` over the n - 1 adjacent pairs (:func:`runs_of`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+import re
+from dataclasses import dataclass
+from operator import index
+from typing import Iterable, Sequence
 
-_ONE_CHARS = frozenset("Hh1")
-_ZERO_CHARS = frozenset("Tt0")
+_TO_BINARY = str.maketrans("Hh1Tt0", "111000")
+_NOT_SYMBOL = re.compile("[^HhTt01]")
+_NOT_FLIP = re.compile("[^01]")
+_UPPER = str.maketrans("10", "HT")
+_LOWER = str.maketrans("10", "ht")
 
 
 class ParseError(ValueError):
@@ -36,25 +46,54 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+def pack(flags: Sequence) -> int:
+    """Pack truth values into an integer, the first one in the low bit."""
+    return int("".join("1" if f else "0" for f in reversed(flags)), 2)
+
+
+def _digits(value: int, n: int) -> str:
+    """The n low bits of ``value`` as 0/1 text, position 1 first."""
+    return format(value, f"0{n}b")[::-1]
+
+
+def runs_of(value: int, n: int) -> int:
+    """Run count of the packed length-n sequence: one more than its breaks."""
+    return ((value ^ (value >> 1)) & ((1 << (n - 1)) - 1)).bit_count() + 1
+
+
+def _packed(cls, what: str, value: int, n: int, **fields):
+    """A frozen ``cls`` holding the n low bits of ``value``, checked to fit."""
+    if n < 1:
+        raise ValueError(f"{what} length must be at least 1")
+    value = index(value)
+    if not 0 <= value < (1 << n):
+        raise ValueError(f"value {value} does not fit in {n} bits")
+    obj = object.__new__(cls)
+    obj.__dict__.update(value=value, n=n, **fields)
+    return obj
+
+
+@dataclass(frozen=True, init=False)
 class BinarySequence:
     """An ordered, nonempty record of two-valued outcomes."""
 
-    bits: tuple[int, ...]
-    vocab: str = "heads/tails"
+    value: int
+    n: int
+    vocab: str
 
-    def __post_init__(self) -> None:
-        if len(self.bits) == 0:
+    def __init__(self, bits: Sequence[int], vocab: str = "heads/tails") -> None:
+        if len(bits) == 0:
             raise ValueError("a sequence must contain at least one outcome")
-        if any(b not in (0, 1) for b in self.bits):
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("sequence bits must be 0 or 1")
+        self.__dict__.update(value=pack(bits), n=len(bits), vocab=vocab)
 
     @property
-    def n(self) -> int:
-        return len(self.bits)
+    def bits(self) -> tuple[int, ...]:
+        return tuple(map(int, _digits(self.value, self.n)))
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.n
 
     def text(self, lower: bool = False) -> str:
         """Render as H/T symbols, lowercase when ``lower`` is set.
@@ -62,23 +101,15 @@ class BinarySequence:
         Lowercase is the conventional rendering for relabeled
         vocabularies.
         """
-        one, zero = ("h", "t") if lower else ("H", "T")
-        return "".join(one if b else zero for b in self.bits)
+        return _digits(self.value, self.n).translate(_LOWER if lower else _UPPER)
 
     def as_int(self) -> int:
-        """Pack the bits into an integer, position 1 in the low bit."""
-        value = 0
-        for i, b in enumerate(self.bits):
-            value |= b << i
-        return value
+        """The packed bits, position 1 in the low bit."""
+        return self.value
 
     @classmethod
     def from_int(cls, value: int, n: int, vocab: str = "heads/tails") -> "BinarySequence":
-        if n < 1:
-            raise ValueError("sequence length must be at least 1")
-        if not 0 <= value < (1 << n):
-            raise ValueError(f"value {value} does not fit in {n} bits")
-        return cls(tuple((value >> i) & 1 for i in range(n)), vocab)
+        return _packed(cls, "sequence", value, n, vocab=vocab)
 
 
 def parse_sequence(text: str, vocab: str = "heads/tails") -> BinarySequence:
@@ -89,49 +120,43 @@ def parse_sequence(text: str, vocab: str = "heads/tails") -> BinarySequence:
     """
     if text == "":
         raise ParseError("empty sequence")
-    bits = []
-    for i, ch in enumerate(text, start=1):
-        if ch in _ONE_CHARS:
-            bits.append(1)
-        elif ch in _ZERO_CHARS:
-            bits.append(0)
-        else:
-            raise ParseError(f"illegal character {ch!r} at position {i}", position=i)
-    return BinarySequence(tuple(bits), vocab)
+    bad = _NOT_SYMBOL.search(text)
+    if bad:
+        i = bad.start() + 1
+        raise ParseError(f"illegal character {bad.group()!r} at position {i}", position=i)
+    return BinarySequence.from_int(int(text[::-1].translate(_TO_BINARY), 2), len(text), vocab)
 
 
 def count_runs(seq: BinarySequence) -> int:
     """Number of maximal blocks of equal adjacent symbols, in [1, n]."""
-    runs = 1
-    for a, b in zip(seq.bits, seq.bits[1:]):
-        if a != b:
-            runs += 1
-    return runs
+    return runs_of(seq.value, seq.n)
 
 
 def count_ones(seq: BinarySequence) -> int:
     """Number of positions holding the first symbol (bit 1)."""
-    return sum(seq.bits)
+    return seq.value.bit_count()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RelabelMask:
     """A per-position flip pattern; True inverts the reading there."""
 
-    flips: tuple[bool, ...]
+    value: int
+    n: int
 
-    def __post_init__(self) -> None:
-        if len(self.flips) == 0:
+    def __init__(self, flips: Sequence[bool]) -> None:
+        if len(flips) == 0:
             raise ValueError("a mask must cover at least one position")
-        if any(f not in (False, True) for f in self.flips):
+        if any(f not in (False, True) for f in flips):
             raise ValueError("mask entries must be booleans")
+        self.__dict__.update(value=pack(flips), n=len(flips))
 
     @property
-    def n(self) -> int:
-        return len(self.flips)
+    def flips(self) -> tuple[bool, ...]:
+        return tuple(c == "1" for c in _digits(self.value, self.n))
 
     def __len__(self) -> int:
-        return len(self.flips)
+        return self.n
 
     @classmethod
     def identity(cls, n: int) -> "RelabelMask":
@@ -142,39 +167,27 @@ class RelabelMask:
         """Parse a flip pattern written as a 0/1 string, position 1 first."""
         if text == "":
             raise ParseError("empty mask")
-        flips = []
-        for i, ch in enumerate(text, start=1):
-            if ch == "1":
-                flips.append(True)
-            elif ch == "0":
-                flips.append(False)
-            else:
-                raise ParseError(f"illegal mask character {ch!r} at position {i}", position=i)
-        return cls(tuple(flips))
+        bad = _NOT_FLIP.search(text)
+        if bad:
+            i = bad.start() + 1
+            raise ParseError(f"illegal mask character {bad.group()!r} at position {i}", position=i)
+        return cls.from_int(int(text[::-1], 2), len(text))
 
     @classmethod
     def from_int(cls, value: int, n: int) -> "RelabelMask":
-        if n < 1:
-            raise ValueError("mask length must be at least 1")
-        if not 0 <= value < (1 << n):
-            raise ValueError(f"value {value} does not fit in {n} bits")
-        return cls(tuple(bool((value >> i) & 1) for i in range(n)))
+        return _packed(cls, "mask", value, n)
 
     def flip_string(self) -> str:
-        return "".join("1" if f else "0" for f in self.flips)
+        return _digits(self.value, self.n)
 
     def as_int(self) -> int:
-        value = 0
-        for i, f in enumerate(self.flips):
-            if f:
-                value |= 1 << i
-        return value
+        return self.value
 
     def flip_count(self) -> int:
-        return sum(self.flips)
+        return self.value.bit_count()
 
     def is_identity(self) -> bool:
-        return not any(self.flips)
+        return self.value == 0
 
     def flipped_positions(self) -> tuple[int, ...]:
         """1-based positions whose reading is inverted."""
@@ -188,7 +201,7 @@ class RelabelMask:
         """Apply ``other`` after ``self``; flips combine by exclusive-or."""
         if self.n != other.n:
             raise ValueError(f"mask lengths differ: {self.n} vs {other.n}")
-        return RelabelMask(tuple(a != b for a, b in zip(self.flips, other.flips)))
+        return RelabelMask.from_int(self.value ^ other.value, self.n)
 
 
 def mask_from_index_set(indices: Iterable[int], n: int) -> RelabelMask:
@@ -212,12 +225,13 @@ def apply_relabeling(seq: BinarySequence, mask: RelabelMask, vocab: str | None =
     """Read ``seq`` through ``mask``: bit i is inverted where the mask flips."""
     if seq.n != mask.n:
         raise ValueError(f"sequence length {seq.n} does not match mask length {mask.n}")
-    bits = tuple(b ^ int(f) for b, f in zip(seq.bits, mask.flips))
-    return BinarySequence(bits, vocab if vocab is not None else f"relabeled {seq.vocab}")
+    return BinarySequence.from_int(
+        seq.value ^ mask.value, seq.n, vocab if vocab is not None else f"relabeled {seq.vocab}"
+    )
 
 
 def mask_between(source: BinarySequence, target: BinarySequence) -> RelabelMask:
     """The unique mask carrying ``source`` to ``target``: flip where they differ."""
     if source.n != target.n:
         raise ValueError(f"sequence lengths differ: {source.n} vs {target.n}")
-    return RelabelMask(tuple(a != b for a, b in zip(source.bits, target.bits)))
+    return RelabelMask.from_int(source.value ^ target.value, source.n)

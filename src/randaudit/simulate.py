@@ -12,6 +12,8 @@ trials are scheduled.  Streams come from the stdlib Mersenne generator
 seeded with the ``"seed:trial"`` string, which hashes through SHA-512
 and is stable across processes and platforms.  Draws against a rational
 probability num/den use ``randrange(den) < num``; no float thresholds.
+Positions are drawn in order and each trial is packed into an integer,
+position 1 in the low bit, as :mod:`randaudit.sequences` stores it.
 """
 
 from __future__ import annotations
@@ -22,13 +24,8 @@ from fractions import Fraction
 from math import sqrt
 
 from .exact import ONE_SIDED, as_probability
-from .sequences import BinarySequence
-from .verdicts import (
-    BINOMIAL,
-    DEFAULT_ALPHA,
-    RUNS,
-    rejection_set,
-)
+from .sequences import BinarySequence, count_ones, count_runs, pack
+from .verdicts import DEFAULT_ALPHA, rejection_set, statistic
 
 FAIR = "fair"
 BIASED = "biased"
@@ -94,15 +91,15 @@ def _draw(rng: random.Random, prob: Fraction) -> int:
     return 1 if rng.randrange(prob.denominator) < prob.numerator else 0
 
 
-def _sample_bits(model: SourceModel, n: int, rng: random.Random) -> tuple[int, ...]:
+def _sample_value(model: SourceModel, n: int, rng: random.Random) -> int:
     if model.kind == MARKOV:
         bits = [_draw(rng, Fraction(1, 2))]
         for _ in range(n - 1):
             same = _draw(rng, model.stay)
             bits.append(bits[-1] if same else 1 - bits[-1])
-        return tuple(bits)
+        return pack(bits)
     p = Fraction(1, 2) if model.kind == FAIR else model.p
-    return tuple(_draw(rng, p) for _ in range(n))
+    return pack([_draw(rng, p) for _ in range(n)])
 
 
 def _substream(seed: int, trial: int) -> random.Random:
@@ -113,7 +110,7 @@ def sample_sequence(model: SourceModel, n: int, seed: int) -> BinarySequence:
     """One deterministic draw from the model; same (model, n, seed), same bits."""
     if n < 1:
         raise ValueError("length must be at least 1")
-    return BinarySequence(_sample_bits(model, n, _substream(seed, 0)), vocab="heads/tails")
+    return BinarySequence.from_int(_sample_value(model, n, _substream(seed, 0)), n)
 
 
 @dataclass(frozen=True)
@@ -176,14 +173,10 @@ def rejection_rate(
     region = rejection_set(test, n, alpha, convention)
     rejected_values = frozenset(region.statistic_values)
     exact_size = region.exact_size
+    of = statistic(test).of
     hits = 0
     for t in range(trials):
-        bits = _sample_bits(model, n, _substream(seed, t))
-        if test == RUNS:
-            stat = 1 + sum(a != b for a, b in zip(bits, bits[1:]))
-        else:
-            stat = sum(bits)
-        if stat in rejected_values:
+        if of(_sample_value(model, n, _substream(seed, t)), n) in rejected_values:
             hits += 1
     return RejectionRateEstimate(
         model=model,
@@ -203,12 +196,12 @@ def likelihood(model: SourceModel, seq: BinarySequence) -> Fraction:
     if model.kind == FAIR:
         return Fraction(1, 1 << seq.n)
     if model.kind == BIASED:
-        k = sum(seq.bits)
+        k = count_ones(seq)
         return model.p**k * (1 - model.p) ** (seq.n - k)
-    prob = Fraction(1, 2)
-    for a, b in zip(seq.bits, seq.bits[1:]):
-        prob *= model.stay if a == b else 1 - model.stay
-    return prob
+    # The first outcome is fair; each of the r - 1 breaks leaves the state
+    # and each of the other n - r adjacent pairs stays.
+    r = count_runs(seq)
+    return Fraction(1, 2) * (1 - model.stay) ** (r - 1) * model.stay ** (seq.n - r)
 
 
 def posterior_odds(prior_odds: Fraction, alt: SourceModel, seq: BinarySequence) -> Fraction:

@@ -1,5 +1,12 @@
 """Reject/not-reject verdicts for the runs and head-count tests.
 
+Both tests sit behind one table, ``STATISTICS``, keyed by test name and
+read through :func:`statistic`, the one place an unknown name is refused.
+An entry holds the statistic of a packed sequence ``(value, n)``, its
+tail rule and its offset ``low``: under the null, statistic - low is
+Binomial(n - low, 1/2) (R - 1 for the run count R, the head count itself),
+so 2^low * C(n - low, v - low) sequences attain each value v in low..n.
+
 A verdict pairs an observed statistic with its exact tail probability
 and a significance threshold.  The threshold is always an exact
 rational; the comparison ``p <= alpha`` never touches floating point,
@@ -16,20 +23,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .exact import (
-    CONVENTIONS,
     ENUMERATION_CAP,
     ONE_SIDED,
     TWO_SIDED_DOUBLED,
     CapExceededError,
     as_probability,
+    binomial_count_between,
     binomial_pvalue,
-    heads_count_between,
-    runs_count_between,
+    check_tail_length,
     runs_pvalue,
 )
-from .sequences import BinarySequence, count_ones, count_runs
+from .sequences import BinarySequence, runs_of
 
 RUNS = "runs"
 BINOMIAL = "binomial"
@@ -62,24 +69,54 @@ class TestVerdict:
         }
 
 
-def _runs_tail_choice(n: int, r: int) -> tuple[str, Fraction]:
-    """Tail and p-value for an observed run count."""
-    center = Fraction(n + 1, 2)
-    if r > center:
-        return "upper", runs_pvalue(n, r, "upper")
-    if r < center:
-        return "lower", runs_pvalue(n, r, "lower")
-    lower = runs_pvalue(n, r, "lower")
-    upper = runs_pvalue(n, r, "upper")
-    # Symmetry makes the two center tails equal; report the lower one.
-    return ("lower", lower) if lower <= upper else ("upper", upper)
+def _runs_tail(n: int, r: int, convention: str) -> tuple[str, Fraction]:
+    """Tail and p-value for an observed run count; ``convention`` is unused."""
+    tail = "upper" if 2 * r > n + 1 else "lower"
+    return tail, runs_pvalue(n, r, tail)
 
 
-def _binomial_tail_choice(n: int, k: int, convention: str) -> tuple[str, Fraction]:
+def _binomial_tail(n: int, k: int, convention: str) -> tuple[str, Fraction]:
     p = binomial_pvalue(n, k, convention)
     if convention == TWO_SIDED_DOUBLED:
         return "doubled", p
     return ("upper" if 2 * k >= n else "lower"), p
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """One test's statistic and null law."""
+
+    of: Callable[[int, int], int]  # the statistic of a packed (value, n)
+    low: int  # statistic - low is Binomial(n - low, 1/2) under the null
+    tail: Callable[[int, int, str], tuple[str, Fraction]]  # (n, value, convention) -> (tail, p)
+
+
+STATISTICS = {
+    RUNS: Statistic(runs_of, 1, _runs_tail),
+    BINOMIAL: Statistic(lambda value, n: value.bit_count(), 0, _binomial_tail),
+}
+
+
+def statistic(test: str) -> Statistic:
+    """The table entry for ``test``; unknown names are refused here."""
+    try:
+        return STATISTICS[test]
+    except KeyError:
+        raise ValueError(f"unknown test {test!r}; expected one of {TESTS}") from None
+
+
+def judge(
+    seq: BinarySequence,
+    test: str,
+    alpha: Fraction = DEFAULT_ALPHA,
+    convention: str = ONE_SIDED,
+) -> TestVerdict:
+    """Judge ``seq`` by the named test; ``convention`` applies to the head count."""
+    alpha = as_probability(alpha)
+    stat = statistic(test)
+    value = stat.of(seq.value, seq.n)
+    tail, p = stat.tail(seq.n, value, convention)
+    return TestVerdict(test, value, tail, p, alpha, p <= alpha, seq.vocab)
 
 
 def runs_test(seq: BinarySequence, alpha: Fraction = DEFAULT_ALPHA) -> TestVerdict:
@@ -88,10 +125,7 @@ def runs_test(seq: BinarySequence, alpha: Fraction = DEFAULT_ALPHA) -> TestVerdi
     A single-outcome sequence is permitted; its run count is forced, so
     p = 1 and nothing can be rejected.
     """
-    alpha = as_probability(alpha)
-    r = count_runs(seq)
-    tail, p = _runs_tail_choice(seq.n, r)
-    return TestVerdict(RUNS, r, tail, p, alpha, p <= alpha, seq.vocab)
+    return judge(seq, RUNS, alpha)
 
 
 def binomial_test(
@@ -100,38 +134,23 @@ def binomial_test(
     convention: str = ONE_SIDED,
 ) -> TestVerdict:
     """Judge the observed count of first-symbol outcomes."""
-    alpha = as_probability(alpha)
-    k = count_ones(seq)
-    tail, p = _binomial_tail_choice(seq.n, k, convention)
-    return TestVerdict(BINOMIAL, k, tail, p, alpha, p <= alpha, seq.vocab)
+    return judge(seq, BINOMIAL, alpha, convention)
 
 
 def statistic_domain(test: str, n: int) -> range:
-    if test == RUNS:
-        return range(1, n + 1)
-    if test == BINOMIAL:
-        return range(0, n + 1)
-    raise ValueError(f"unknown test {test!r}; expected one of {TESTS}")
+    return range(statistic(test).low, n + 1)
 
 
 def statistic_pvalue(test: str, n: int, value: int, convention: str = ONE_SIDED) -> tuple[str, Fraction]:
     """Tail and p-value a verdict would use for a given statistic value."""
-    if test == RUNS:
-        if not 1 <= value <= n:
-            raise ValueError(f"run count {value} out of range 1..{n}")
-        return _runs_tail_choice(n, value)
-    if test == BINOMIAL:
-        return _binomial_tail_choice(n, value, convention)
-    raise ValueError(f"unknown test {test!r}; expected one of {TESTS}")
+    return statistic(test).tail(n, value, convention)
 
 
 def statistic_count(test: str, n: int, value: int) -> int:
     """Number of length-n sequences whose statistic equals ``value``, by table lookup."""
-    if test == RUNS:
-        return runs_count_between(n, value, value)
-    if test == BINOMIAL:
-        return heads_count_between(n, value, value)
-    raise ValueError(f"unknown test {test!r}; expected one of {TESTS}")
+    low = statistic(test).low
+    check_tail_length(n)
+    return binomial_count_between(n - low, value - low, value - low) << low
 
 
 @dataclass(frozen=True)
@@ -182,23 +201,15 @@ def rejection_set(
     if n < 1:
         raise ValueError("length must be at least 1")
     alpha = as_probability(alpha)
-    if test == BINOMIAL and convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    values = tuple(
-        v for v in statistic_domain(test, n) if statistic_pvalue(test, n, v, convention)[1] <= alpha
-    )
+    stat = statistic(test)
+    values = tuple(v for v in range(stat.low, n + 1) if stat.tail(n, v, convention)[1] <= alpha)
     mass = sum(statistic_count(test, n, v) for v in values)
     sequences = None
     if include_sequences:
         if n > cap:
             raise CapExceededError(f"explicit listing over 2^{n} sequences exceeds cap {cap}")
         wanted = frozenset(values)
-        if test == RUNS:
-            pairs = (1 << (n - 1)) - 1
-            candidates = (x for x in range(1 << n) if ((x ^ (x >> 1)) & pairs).bit_count() + 1 in wanted)
-        else:
-            candidates = (x for x in range(1 << n) if x.bit_count() in wanted)
-        sequences = tuple(BinarySequence.from_int(x, n) for x in candidates)
+        sequences = tuple(BinarySequence.from_int(x, n) for x in range(1 << n) if stat.of(x, n) in wanted)
     return RejectionSet(
         test=test,
         n=n,

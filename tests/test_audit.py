@@ -297,3 +297,22 @@ class TestNullInvariance:
     def test_as_dict(self):
         payload = check_null_invariance(3).as_dict()
         assert payload == {"n": 3, "masks_checked": 8, "passed": True}
+
+
+class TestFlipSearchTableWidth:
+    @pytest.mark.parametrize("n", [126, 127, 253, 254, 255])
+    def test_narrow_table_matches_int64(self, n, monkeypatch):
+        # The DP table takes the narrowest unsigned type holding n + 2;
+        # n = 253 is the longest served by uint8.  The same search with
+        # int64 entries is the reference.
+        rng = random.Random(n)
+        seqs = [BinarySequence((0,) * n), BinarySequence(tuple(i % 2 for i in range(n)))]
+        seqs += [BinarySequence(tuple(rng.randint(0, 1) for _ in range(n))) for _ in range(3)]
+        seqs += [BinarySequence(tuple(int(rng.random() < 0.1) for _ in range(n))) for _ in range(2)]
+        for alpha in (Fraction(1, 1000), ALPHA, Fraction(1, 3)):
+            narrow = [find_flipping_mask(seq, RUNS, alpha) for seq in seqs]
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "min_scalar_type", lambda value: np.dtype(np.int64))
+                wide = [find_flipping_mask(seq, RUNS, alpha) for seq in seqs]
+            assert [r and r.mask for r in narrow] == [r and r.mask for r in wide]
+            assert any(r is not None for r in narrow)

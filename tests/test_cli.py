@@ -273,3 +273,25 @@ class TestReproduceCommand:
         assert any("Y = {2,3,5,9}" in s for s in sections)
         checks = next(r for r in report["results"] if r["section"] == "checks")
         assert all(row["ok"] for row in checks["rows"])
+
+
+class TestPosteriorRendering:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--seq", "HT" * 4000, "--model", "biased:p=3/5"),
+            ("--seq", "HT", "--model", "biased:p=3/5", "--prior-odds", "1e400"),
+            ("--seq", "H" * 1200, "--model", "markov:stay=999/1000", "--pretty"),
+            ("--seq", "HT", "--model", "biased:p=0", "--prior-odds", "1e5000"),
+        ],
+        ids=[
+            "digits-beyond-int-to-str-limit",
+            "prior-beyond-float-range",
+            "odds-beyond-float-range",
+            "prior-digits-beyond-int-to-str-limit",
+        ],
+    )
+    def test_unrenderable_odds_are_refused(self, capsys, argv):
+        code, out, err = invoke(capsys, "posterior", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1

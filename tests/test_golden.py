@@ -1,0 +1,78 @@
+"""Golden CLI reports: stdout and exit code, byte for byte.
+
+Each case's expected stdout and exit code are stored in
+``tests/golden/<name>.json``.  They pin the reports of every subcommand
+except ``simulate``, whose sampled bits no test pins, plus parse and
+cap errors.  After an intended change to a report, rewrite the files
+with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from randaudit.cli import run_cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "runs-test": ["runs-test", "--seq", "HTTHTHHHT"],
+    "runs-test-pretty": ["runs-test", "--seq", "HHHHHTTTT", "--alpha", "0.05", "--pretty"],
+    "binomial-test-doubled": ["binomial-test", "--seq", "TTTTTTTTT", "--convention", "two-sided-doubled"],
+    "relabel": ["relabel", "--seq", "HTTHTHHHT", "--x-set", "1,4,9", "--vocab", "heads/tails"],
+    "audit-binomial": [
+        "audit", "--seq", "HTTHTHHHT", "--x-set", "2,3,5,9", "--test", "binomial",
+        "--convention", "two-sided-doubled", "--emit-witness",
+    ],
+    "audit-runs-pretty": ["audit", "--seq", "HHHHHTTTT", "--mask", "011011110", "--test", "runs", "--pretty"],
+    "flip-search-runs": ["flip-search", "--seq", "HTTHTHHHT", "--test", "runs", "--emit-witness"],
+    "flip-search-binomial-pretty": [
+        "flip-search", "--seq", "HTHHTTHTHHTHTTHHTHHT", "--test", "binomial", "--minimize", "--pretty",
+    ],
+    "flip-search-none": ["flip-search", "--seq", "H", "--test", "runs"],
+    "spectrum": ["spectrum", "--seq", "HTTHTHHHT", "--test", "runs"],
+    "distribution-csv": ["distribution", "--n", "12", "--format", "csv"],
+    "distribution-oracle": ["distribution", "--n", "10", "--oracle"],
+    "rejection-set-explicit": ["rejection-set", "--test", "runs", "--n", "9", "--explicit"],
+    "rejection-set-binomial-pretty": [
+        "rejection-set", "--test", "binomial", "--n", "20", "--alpha", "1/100",
+        "--convention", "two-sided-doubled", "--pretty",
+    ],
+    "posterior-markov": ["posterior", "--seq", "HHHHHHHHHT", "--model", "markov:stay=3/4", "--prior-odds", "1/3"],
+    "posterior-biased-pretty": ["posterior", "--seq", "HTTH", "--model", "biased:p=3/5", "--pretty"],
+    "reproduce-paper": ["reproduce-paper"],
+    "error-illegal-character": ["runs-test", "--seq", "HXT"],
+    "error-mask-length": ["relabel", "--seq", "HTT", "--mask", "0101"],
+    "error-oracle-cap": ["distribution", "--n", "25", "--oracle"],
+}
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run_cli(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name):
+    golden = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert golden["argv"] == CASES[name]
+    code, stdout = run(CASES[name])
+    assert code == golden["exit"]
+    assert stdout == golden["stdout"]
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        code, stdout = run(argv)
+        record = {"argv": argv, "exit": code, "stdout": stdout}
+        (GOLDEN / f"{name}.json").write_text(json.dumps(record, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+        print(f"{name}: exit {code}, {len(stdout)} bytes", file=sys.stderr)

@@ -1,0 +1,118 @@
+"""The packed (value, n) layout against tuple tallies written here."""
+
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from randaudit import (
+    BinarySequence,
+    ParseError,
+    RelabelMask,
+    SourceModel,
+    apply_relabeling,
+    count_ones,
+    count_runs,
+    likelihood,
+    parse_sequence,
+)
+
+LENGTHS = [1, 2, 63, 64, 65, *random.Random(20120525).sample(range(3, 301), 12)]
+
+
+def tuple_runs(bits: tuple) -> int:
+    return 1 + sum(a != b for a, b in zip(bits, bits[1:]))
+
+
+def tuple_value(flags: tuple) -> int:
+    return sum(1 << i for i, f in enumerate(flags) if f)
+
+
+def bit_patterns(n: int, rng: random.Random) -> list[tuple[int, ...]]:
+    fixed = [(0,) * n, (1,) * n, tuple(i % 2 for i in range(n)), tuple(1 - i % 2 for i in range(n))]
+    return fixed + [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(16)]
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_sequence_matches_tuple_tally(n):
+    for bits in bit_patterns(n, random.Random(n)):
+        seq = BinarySequence(bits)
+        assert seq.bits == bits and seq.n == len(seq) == n
+        assert count_runs(seq) == tuple_runs(bits)
+        assert count_ones(seq) == sum(bits)
+        assert seq.text() == "".join("H" if b else "T" for b in bits)
+        assert seq.text(lower=True) == "".join("h" if b else "t" for b in bits)
+        assert seq.as_int() == tuple_value(bits)
+        assert BinarySequence.from_int(tuple_value(bits), n) == seq
+        assert parse_sequence(seq.text(lower=True)) == seq
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_mask_matches_tuple_tally(n):
+    rng = random.Random(-n)
+    seq_bits = bit_patterns(n, rng)
+    for i, pattern in enumerate(bit_patterns(n, rng)):
+        flips = tuple(bool(f) for f in pattern)
+        mask = RelabelMask(flips)
+        assert mask.flips == flips and mask.n == len(mask) == n
+        assert mask.flip_string() == "".join("1" if f else "0" for f in flips)
+        assert mask.flip_count() == sum(flips)
+        assert mask.as_int() == tuple_value(flips)
+        assert RelabelMask.from_int(tuple_value(flips), n) == mask
+        assert RelabelMask.from_flip_string(mask.flip_string()) == mask
+        bits = seq_bits[i]
+        relabeled = apply_relabeling(BinarySequence(bits), mask)
+        assert relabeled.bits == tuple(b ^ f for b, f in zip(bits, flips))
+
+
+@pytest.mark.parametrize("char", ["_", " ", "+", "-"])
+@pytest.mark.parametrize("position", [1, 2, 1500, 3000])
+def test_parsers_refuse_int_literal_characters(char, position):
+    # int(text, 2) accepts a sign, surrounding spaces and underscores
+    # between digits; the parsers must not.
+    def planted(text: str) -> str:
+        return text[: position - 1] + char + text[position:]
+
+    with pytest.raises(ParseError) as err:
+        parse_sequence(planted("HT" * 1500))
+    assert err.value.position == position
+    assert f"at position {position}" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        RelabelMask.from_flip_string(planted("01" * 1500))
+    assert err.value.position == position
+    assert f"at position {position}" in str(err.value)
+
+
+@pytest.mark.parametrize("stay", [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(999, 1000), Fraction(1)])
+def test_markov_likelihood_is_a_product_over_adjacent_pairs(stay):
+    model = SourceModel.sticky_markov(stay)
+    for n in [1, 2, 9, 64, 65, 200]:
+        for bits in bit_patterns(n, random.Random(n)):
+            expected = Fraction(1, 2)
+            for a, b in zip(bits, bits[1:]):
+                expected *= stay if a == b else 1 - stay
+            assert likelihood(model, BinarySequence(bits)) == expected
+
+
+def test_a_million_positions_take_under_a_tenth_of_a_second():
+    n = 10**6
+    rng = random.Random(6)
+    value, flips = rng.getrandbits(n), rng.getrandbits(n)
+    mask = RelabelMask.from_int(flips, n)
+    seconds = {}
+
+    def timed(name, call):
+        start = time.perf_counter()
+        result = call()
+        seconds[name] = time.perf_counter() - start
+        return result
+
+    seq = timed("from_int", lambda: BinarySequence.from_int(value, n))
+    runs = timed("count_runs", lambda: count_runs(seq))
+    relabeled = timed("apply_relabeling", lambda: apply_relabeling(seq, mask))
+    text = timed("text", lambda: seq.text())
+    assert all(s < 0.1 for s in seconds.values()), seconds
+    assert len(text) == n and text == format(value, f"0{n}b")[::-1].replace("1", "H").replace("0", "T")
+    assert runs == 1 + sum(a != b for a, b in zip(text, text[1:]))
+    assert relabeled.as_int() == value ^ flips

@@ -177,3 +177,42 @@ class TestStatisticHelpers:
         assert (tail, p) == ("doubled", Fraction(2, 512))
         with pytest.raises(ValueError):
             statistic_pvalue(RUNS, 9, 0)
+
+
+class TestStatisticTable:
+    @pytest.mark.parametrize("test", [RUNS, BINOMIAL])
+    def test_counts_refuse_lengths_beyond_the_tail_limit(self, test):
+        from math import comb
+
+        from randaudit import TAIL_LENGTH_LIMIT
+
+        n, low = TAIL_LENGTH_LIMIT, statistic_domain(test, 1).start
+        assert statistic_count(test, n, n // 2) == comb(n - low, n // 2 - low) << low
+        with pytest.raises(CapExceededError):
+            statistic_count(test, n + 1, 1)
+
+    def test_unknown_test_is_refused_everywhere(self):
+        from randaudit import (
+            SourceModel,
+            find_flipping_mask,
+            mask_from_index_set,
+            pvalue_spectrum,
+            rejection_rate,
+            verdict_under_relabeling,
+        )
+
+        seq = parse_sequence("HTTH")
+
+        calls = [
+            lambda: statistic_domain("chi2", 4),
+            lambda: statistic_pvalue("chi2", 4, 1),
+            lambda: statistic_count("chi2", 4, 1),
+            lambda: rejection_set("chi2", 4),
+            lambda: verdict_under_relabeling(seq, mask_from_index_set({1}, 4), "chi2"),
+            lambda: find_flipping_mask(seq, "chi2"),
+            lambda: pvalue_spectrum(seq, "chi2"),
+            lambda: rejection_rate(SourceModel.fair(), "chi2", 4, trials=1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="unknown test 'chi2'"):
+                call()
