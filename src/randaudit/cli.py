@@ -14,12 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import report as report_mod
-from .audit import (
-    check_null_invariance,
-    find_flipping_mask,
-    pvalue_spectrum,
-    verdict_under_relabeling,
-)
+from .audit import find_flipping_mask, pvalue_spectrum, verdict_under_relabeling
 from .exact import (
     CONVENTIONS,
     CapExceededError,
@@ -31,7 +26,6 @@ from .exact import (
 )
 from .report import build_report, prob_dict, to_json
 from .sequences import (
-    BinarySequence,
     ParseError,
     RelabelMask,
     apply_relabeling,

@@ -6,14 +6,26 @@ source whose first outcome is fair.  Model parameters are exact
 rationals, so every sequence likelihood, and hence every posterior odds
 ratio, is an exact Fraction.
 
-Sampling is reproducible: each trial owns a substream derived from the
-pair (seed, trial index), so the sample set does not depend on how
-trials are scheduled.  Streams come from the stdlib Mersenne generator
-seeded with the ``"seed:trial"`` string, which hashes through SHA-512
-and is stable across processes and platforms.  Draws against a rational
-probability num/den use ``randrange(den) < num``; no float thresholds.
-Positions are drawn in order and each trial is packed into an integer,
-position 1 in the low bit, as :mod:`randaudit.sequences` stores it.
+Sampling is bit-sliced.  Trials are drawn in blocks of BLOCK_TRIALS =
+4096: block b holds trials 4096*b .. 4096*b + 4095 and draws from one
+stream, the stdlib Mersenne generator seeded with the ``"seed:b"``
+string, which hashes through SHA-512 and is stable across processes and
+platforms.  Position i of all 4096 trials is one integer, a bit plane,
+whose bit t is trial t's outcome.  A block is always drawn at full
+width, so trial t depends only on (model, n, seed, t), never on how
+many trials were asked for.  Trial t, read off the planes position 1 in
+the low bit, is the packed sequence :mod:`randaudit.sequences` stores.
+
+A plane of exact Bernoulli(num/den) outcomes compares each lane's
+uniform real U, one binary digit per ``getrandbits(4096)`` call, with
+the binary expansion of num/den (Knuth and Yao 1976): a lane is decided
+at the first digit where the two differ, and it is a hit iff U < p
+there.  A dyadic p = a/2^k with a odd has k digits, and after the
+last one every lane still undecided has U >= p, so it costs exactly k
+planes; any other p costs about log2(4096) + 2 planes per position.
+There are no floats, no rounding and no limit on the denominator.  The
+Markov source draws a fair first plane and XORs switch planes into it;
+the switch planes of any source are the XORs of adjacent bit planes.
 """
 
 from __future__ import annotations
@@ -23,9 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-from .exact import ONE_SIDED, as_probability
+from .exact import ONE_SIDED, CapExceededError, as_probability, check_tail_length
 from .sequences import BinarySequence, count_ones, count_runs, pack
-from .verdicts import DEFAULT_ALPHA, rejection_set, statistic
+from .verdicts import DEFAULT_ALPHA, RUNS, rejection_set, statistic
 
 FAIR = "fair"
 BIASED = "biased"
@@ -82,35 +94,82 @@ def parse_model(text: str) -> SourceModel:
     raise ValueError(f"cannot parse model {text!r}")
 
 
-def _draw(rng: random.Random, prob: Fraction) -> int:
-    """An exact Bernoulli draw: 1 with probability ``prob``."""
-    if prob == 1:
-        return 1
-    if prob == 0:
-        return 0
-    return 1 if rng.randrange(prob.denominator) < prob.numerator else 0
+# Trials per block, the width of a bit plane.
+BLOCK_TRIALS = 4096
+_ALL_LANES = (1 << BLOCK_TRIALS) - 1
+_PLANE_BYTES = BLOCK_TRIALS // 8
+# Planes unpacked per numpy call while tallying: 64 x 4096 bytes.
+_TALLY_PLANES = 64
+# Simulation work, trials times length, is refused above this many
+# trial-positions.  At n = 9 that is 11 million trials, which took
+# 0.6-1.7 s by model as a CLI run on a 2-vCPU x86-64 machine.
+SIMULATION_WORK_LIMIT = 10**8
 
 
-def _sample_value(model: SourceModel, n: int, rng: random.Random) -> int:
+def _check_work(trials: int, n: int) -> None:
+    if trials * n > SIMULATION_WORK_LIMIT:
+        raise CapExceededError(
+            f"{trials} trials at length {n} exceed the simulation work limit "
+            f"{SIMULATION_WORK_LIMIT} (trials x length)"
+        )
+
+
+def _bernoulli_plane(rng: random.Random, prob: Fraction) -> int:
+    """BLOCK_TRIALS exact Bernoulli(``prob``) outcomes, one per bit.
+
+    Each lane reads its uniform U one binary digit per plane and stops
+    at the first digit that differs from ``prob``'s expansion.
+    """
+    num, den = prob.numerator, prob.denominator
+    if num == den:
+        return _ALL_LANES
+    hits, live = 0, _ALL_LANES
+    while num and live:  # once num is 0 the digits left are 0 and U >= prob
+        num <<= 1
+        u = rng.getrandbits(BLOCK_TRIALS)
+        if num >= den:  # digit 1: lanes reading 0 have U < prob
+            num -= den
+            hits |= live & ~u
+            live &= u
+        else:  # digit 0: lanes reading 1 have U > prob
+            live &= ~u
+    return hits
+
+
+def _bit_planes(model: SourceModel, n: int, seed: int, block: int) -> list[int]:
+    """The n bit planes of one block, position 1 first."""
+    rng = random.Random(f"{seed}:{block}")
     if model.kind == MARKOV:
-        bits = [_draw(rng, Fraction(1, 2))]
+        switch = 1 - model.stay
+        planes = [_bernoulli_plane(rng, Fraction(1, 2))]
         for _ in range(n - 1):
-            same = _draw(rng, model.stay)
-            bits.append(bits[-1] if same else 1 - bits[-1])
-        return pack(bits)
+            planes.append(planes[-1] ^ _bernoulli_plane(rng, switch))
+        return planes
     p = Fraction(1, 2) if model.kind == FAIR else model.p
-    return pack([_draw(rng, p) for _ in range(n)])
+    return [_bernoulli_plane(rng, p) for _ in range(n)]
 
 
-def _substream(seed: int, trial: int) -> random.Random:
-    return random.Random(f"{seed}:{trial}")
+def _count_rejected(planes: list[int], rejected_sums: tuple[int, ...], lanes: int) -> int:
+    """How many of the first ``lanes`` lanes have a column sum over ``planes`` in ``rejected_sums``."""
+    import numpy as np
+
+    sums = np.zeros(BLOCK_TRIALS, dtype=np.int32)
+    for start in range(0, len(planes), _TALLY_PLANES):
+        chunk = planes[start : start + _TALLY_PLANES]
+        raw = b"".join(plane.to_bytes(_PLANE_BYTES, "little") for plane in chunk)
+        bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(chunk), _PLANE_BYTES)
+        sums += np.unpackbits(bits, axis=1, bitorder="little").sum(axis=0, dtype=np.int32)
+    rejected = np.zeros(len(planes) + 1, dtype=bool)
+    rejected[list(rejected_sums)] = True
+    return int(np.count_nonzero(rejected[sums[:lanes]]))
 
 
 def sample_sequence(model: SourceModel, n: int, seed: int) -> BinarySequence:
-    """One deterministic draw from the model; same (model, n, seed), same bits."""
+    """One deterministic draw from the model: trial 0 of ``rejection_rate`` at the same seed."""
     if n < 1:
         raise ValueError("length must be at least 1")
-    return BinarySequence.from_int(_sample_value(model, n, _substream(seed, 0)), n)
+    _check_work(BLOCK_TRIALS, n)  # the whole first block is drawn
+    return BinarySequence.from_int(pack([plane & 1 for plane in _bit_planes(model, n, seed, 0)]), n)
 
 
 @dataclass(frozen=True)
@@ -164,20 +223,28 @@ def rejection_rate(
     """Fraction of sampled sequences the test rejects at ``alpha``.
 
     The exact size under the fair null is reported alongside for
-    comparison.  Trial t draws from substream (seed, t), so any
-    parallel schedule would produce the same tally.
+    comparison.  Trials are drawn in blocks of BLOCK_TRIALS bit planes,
+    the last block at full width too, so trial t is the same draw
+    whatever ``trials`` is.  Each lane's statistic is a column sum of
+    the planes, the bit planes for the head count and the switch planes
+    (plus one) for the run count, and a lookup over the rejected
+    statistic values decides it.  ``trials * n`` above
+    SIMULATION_WORK_LIMIT is refused before anything is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    check_tail_length(n)  # a length beyond the tables is reported as such
+    _check_work(trials, n)
     alpha = as_probability(alpha)
     region = rejection_set(test, n, alpha, convention)
-    rejected_values = frozenset(region.statistic_values)
-    exact_size = region.exact_size
-    of = statistic(test).of
+    low = statistic(test).low
+    rejected_sums = tuple(v - low for v in region.statistic_values)
     hits = 0
-    for t in range(trials):
-        if of(_sample_value(model, n, _substream(seed, t)), n) in rejected_values:
-            hits += 1
+    for block in range(-(-trials // BLOCK_TRIALS)):
+        planes = _bit_planes(model, n, seed, block)
+        if test == RUNS:  # R - 1 counts the switches
+            planes = [a ^ b for a, b in zip(planes, planes[1:])]
+        hits += _count_rejected(planes, rejected_sums, min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS))
     return RejectionRateEstimate(
         model=model,
         test=test,
@@ -187,7 +254,7 @@ def rejection_rate(
         trials=trials,
         seed=seed,
         rejected=hits,
-        exact_fair_size=exact_size,
+        exact_fair_size=region.exact_size,
     )
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from randaudit import TAIL_LENGTH_LIMIT, runs_test, parse_sequence
+from randaudit import LISTING_LIMIT, SIMULATION_WORK_LIMIT, TAIL_LENGTH_LIMIT, runs_test, parse_sequence
 from randaudit.cli import run_cli
 
 
@@ -183,6 +183,29 @@ class TestSimulationCommands:
         odds = report["results"][0]["posterior_odds"]
         expected = 256 * Fraction(9, 10) ** 8
         assert Fraction(odds["num"], odds["den"]) == expected
+
+
+class TestWorkLimits:
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (
+                ("simulate", "--test", "runs", "--n", str(TAIL_LENGTH_LIMIT),
+                 "--trials", str(SIMULATION_WORK_LIMIT // TAIL_LENGTH_LIMIT + 1)),
+                SIMULATION_WORK_LIMIT,
+            ),
+            (("simulate", "--test", "binomial", "--n", "5000"), SIMULATION_WORK_LIMIT),
+            (("rejection-set", "--test", "runs", "--n", "22", "--explicit", "--alpha", "1/2"), LISTING_LIMIT),
+            (("rejection-set", "--test", "binomial", "--n", "17", "--explicit", "--alpha", "1"), LISTING_LIMIT),
+        ],
+        ids=["simulate-trials", "simulate-default-trials", "rejection-set-runs-n22", "rejection-set-all-n17"],
+    )
+    def test_work_beyond_limit_fails_fast(self, capsys, argv, limit):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert f"limit {limit}" in err
+        assert time.perf_counter() - start < 0.5
 
 
 class TestErrorsAndStability:

@@ -1,10 +1,12 @@
 """Golden CLI reports: stdout and exit code, byte for byte.
 
 Each case's expected stdout and exit code are stored in
-``tests/golden/<name>.json``.  They pin the reports of every subcommand
-except ``simulate``, whose sampled bits no test pins, plus parse and
-cap errors.  After an intended change to a report, rewrite the files
-with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+``tests/golden/<name>.json``.  They pin the reports of every
+subcommand, plus parse and cap errors.  The two seeded ``simulate``
+reports pin the sampler's stream too, so a change to the sampled bits
+has to be deliberate.  After an intended change to a report, rewrite
+the files with ``PYTHONPATH=src python tests/test_golden.py`` and
+review the diff.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ CASES = {
     "rejection-set-binomial-pretty": [
         "rejection-set", "--test", "binomial", "--n", "20", "--alpha", "1/100",
         "--convention", "two-sided-doubled", "--pretty",
+    ],
+    "simulate-fair-runs": ["simulate", "--test", "runs", "--n", "9", "--trials", "5000", "--seed", "7"],
+    "simulate-markov-binomial-doubled": [
+        "simulate", "--model", "markov:stay=3/4", "--test", "binomial", "--n", "12",
+        "--convention", "two-sided-doubled", "--trials", "5000", "--seed", "11",
     ],
     "posterior-markov": ["posterior", "--seq", "HHHHHHHHHT", "--model", "markov:stay=3/4", "--prior-odds", "1/3"],
     "posterior-biased-pretty": ["posterior", "--seq", "HTTH", "--model", "biased:p=3/5", "--pretty"],

@@ -1,24 +1,39 @@
 """Source models: sampling determinism, exact likelihoods, size checks."""
 
+import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import product
+from math import sqrt
+from pathlib import Path
 
 import pytest
 
 from randaudit import (
     BINOMIAL,
+    BLOCK_TRIALS,
     BinarySequence,
+    CapExceededError,
+    ONE_SIDED,
     RUNS,
+    SIMULATION_WORK_LIMIT,
     SourceModel,
+    TWO_SIDED_DOUBLED,
     apply_relabeling,
     RelabelMask,
+    binomial_test,
     likelihood,
     parse_model,
     parse_sequence,
     posterior_odds,
     rejection_rate,
+    rejection_set,
+    runs_test,
     sample_sequence,
 )
+from randaudit.simulate import _bernoulli_plane, _bit_planes
 
 ALPHA = Fraction(1, 20)
 
@@ -153,3 +168,164 @@ class TestPosteriorOdds:
     def test_prior_must_be_positive(self):
         with pytest.raises(ValueError):
             posterior_odds(Fraction(0), SourceModel.fair(), parse_sequence("H"))
+
+
+# ---------------------------------------------------------------------------
+# The bit-sliced block sampler, against oracles written here.
+
+MODELS = ("fair", "biased:p=3/5", "markov:stay=3/4")
+CONVENTIONS = (ONE_SIDED, TWO_SIDED_DOUBLED)
+
+
+def stat_of(test: str, bits: tuple) -> int:
+    if test == RUNS:
+        return 1 + sum(a != b for a, b in zip(bits, bits[1:]))
+    return sum(bits)
+
+
+def sequence_prob(spec: str, bits: tuple) -> Fraction:
+    """Exact probability of ``bits`` (1 = H, the first symbol) under the model, by its own product."""
+    kind, _, arg = spec.partition(":")
+    if kind == "fair":
+        return Fraction(1, 2 ** len(bits))
+    q = Fraction(arg.partition("=")[2])
+    if kind == "biased":
+        prob = Fraction(1)
+        for b in bits:
+            prob *= q if b else 1 - q
+        return prob
+    prob = Fraction(1, 2)
+    for a, b in zip(bits, bits[1:]):
+        prob *= q if a == b else 1 - q
+    return prob
+
+
+def exact_power(spec: str, test: str, n: int, alpha: Fraction, convention: str) -> Fraction:
+    """Chance the test rejects under the model, summed over all 2^n sequences."""
+    rejected = frozenset(rejection_set(test, n, alpha, convention).statistic_values)
+    return sum(
+        (sequence_prob(spec, bits) for bits in product((0, 1), repeat=n) if stat_of(test, bits) in rejected),
+        Fraction(0),
+    )
+
+
+def trial_bits(planes: list, lane: int) -> tuple:
+    return tuple((plane >> lane) & 1 for plane in planes)
+
+
+def first_trials(spec: str, n: int, seed: int, count: int) -> list:
+    """The first ``count`` trials as bit tuples, read lane by lane off the block planes."""
+    out = []
+    for block in range(-(-count // BLOCK_TRIALS)):
+        planes = _bit_planes(parse_model(spec), n, seed, block)
+        out.extend(trial_bits(planes, lane) for lane in range(min(BLOCK_TRIALS, count - len(out))))
+    return out
+
+
+class TestBlockSampler:
+    @pytest.mark.parametrize("spec", MODELS)
+    @pytest.mark.parametrize("test", [RUNS, BINOMIAL])
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    @pytest.mark.parametrize("n", [7, 10])
+    def test_rate_within_five_se_of_exact_power(self, spec, test, convention, n):
+        trials = 20_000
+        est = rejection_rate(parse_model(spec), test, n, ALPHA, convention, trials=trials, seed=20_251)
+        power = exact_power(spec, test, n, ALPHA, convention)
+        se = sqrt(float(power * (1 - power)) / trials)
+        assert abs(est.rate - float(power)) <= 5 * se
+
+    @pytest.mark.parametrize(
+        "spec, seed", [("fair", 41), ("biased:p=3/5", 42), ("biased:p=1/3", 43), ("markov:stay=3/4", 44)]
+    )
+    def test_sequence_frequencies_at_n4(self, spec, seed):
+        # Chi-square over all 16 sequences of the first 8,192 trials; 15 degrees
+        # of freedom, so 40 is beyond the 0.9995 quantile (37.7 is the 0.999).
+        # An unfair Markov first bit of 3/5 moves it to about 330, a reversed
+        # 3/5 bias past 1,000.
+        n, count = 4, 2 * BLOCK_TRIALS
+        tally = {}
+        for bits in first_trials(spec, n, seed, count):
+            tally[bits] = tally.get(bits, 0) + 1
+        chi2 = 0.0
+        for bits in product((0, 1), repeat=n):
+            expected = count * float(sequence_prob(spec, bits))
+            chi2 += (tally.get(bits, 0) - expected) ** 2 / expected
+        assert chi2 < 40
+
+    @pytest.mark.parametrize("spec", MODELS)
+    @pytest.mark.parametrize("test", [RUNS, BINOMIAL])
+    def test_first_trials_do_not_depend_on_trial_count(self, spec, test):
+        n, seed = 11, 7
+        rejected = frozenset(rejection_set(test, n, Fraction(1, 5)).statistic_values)
+        hits = [stat_of(test, bits) in rejected for bits in first_trials(spec, n, seed, 5000)]
+        for trials in (1, 100, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1, 5000):
+            est = rejection_rate(parse_model(spec), test, n, Fraction(1, 5), trials=trials, seed=seed)
+            assert est.rejected == sum(hits[:trials])
+
+    @pytest.mark.parametrize("spec", MODELS + ("biased:p=1/3",))
+    def test_sample_sequence_is_trial_zero(self, spec):
+        model = parse_model(spec)
+        for seed in range(20):
+            seq = sample_sequence(model, 12, seed)
+            assert seq.bits == trial_bits(_bit_planes(model, 12, seed, 0), 0)
+            for test, verdict in ((RUNS, runs_test(seq, ALPHA)), (BINOMIAL, binomial_test(seq, ALPHA))):
+                assert rejection_rate(model, test, 12, ALPHA, trials=1, seed=seed).rejected == verdict.rejected
+
+    @pytest.mark.parametrize("p, planes", [(Fraction(0), 0), (Fraction(1), 0), (Fraction(1, 2), 1), (Fraction(3, 8), 3)])
+    def test_dyadic_plane_uses_its_digits(self, p, planes):
+        rng, ref = random.Random("plane"), random.Random("plane")
+        plane = _bernoulli_plane(rng, p)
+        draws = [ref.getrandbits(BLOCK_TRIALS) for _ in range(planes)]
+        assert rng.getstate() == ref.getstate()
+        all_lanes = (1 << BLOCK_TRIALS) - 1
+        if p == 0:
+            assert plane == 0
+        elif p == 1:
+            assert plane == all_lanes
+        elif p == Fraction(1, 2):
+            assert plane == all_lanes & ~draws[0]  # a lane reading digit 0 has U < 1/2
+        else:  # 3/8 = 0.011: U < 3/8 iff U reads 00, or 010
+            u1, u2, u3 = draws
+            assert plane == all_lanes & ~u1 & (~u2 | (u2 & ~u3))
+
+    @pytest.mark.parametrize("p", [Fraction(3, 8), Fraction(1, 3), Fraction(1, 2**70 + 1)])
+    def test_plane_mean(self, p):
+        rng = random.Random(f"mean:{p}")
+        lanes = 64 * BLOCK_TRIALS
+        hits = sum(_bernoulli_plane(rng, p).bit_count() for _ in range(64))
+        se = sqrt(float(p * (1 - p)) / lanes)
+        assert abs(hits / lanes - float(p)) <= 5 * se
+
+    @pytest.mark.parametrize("seed", [-5, 2**200 + 1, -(2**200)])
+    def test_negative_and_wide_seeds(self, seed):
+        model = parse_model("biased:p=3/5")
+        assert sample_sequence(model, 30, seed).bits == sample_sequence(model, 30, seed).bits
+        first = rejection_rate(model, RUNS, 30, ALPHA, trials=300, seed=seed)
+        assert rejection_rate(model, RUNS, 30, ALPHA, trials=300, seed=seed).rejected == first.rejected
+        assert sample_sequence(model, 30, seed).bits != sample_sequence(model, 30, -seed).bits
+
+    def test_work_limit(self):
+        with pytest.raises(CapExceededError, match="work limit"):
+            rejection_rate(SourceModel.fair(), RUNS, 1000, ALPHA, trials=SIMULATION_WORK_LIMIT // 1000 + 1)
+        with pytest.raises(CapExceededError, match="work limit"):  # one draw is a full block
+            sample_sequence(SourceModel.fair(), SIMULATION_WORK_LIMIT // BLOCK_TRIALS + 1, seed=0)
+
+    def test_numpy_random_is_never_imported(self):
+        code = (
+            "import sys, io, contextlib\n"
+            "from randaudit.cli import run_cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert run_cli(['simulate', '--model', 'markov:stay=3/4', '--test', 'runs', '--n', '9',"
+            " '--trials', '5000']) == 0\n"
+            "assert 'numpy' in sys.modules and 'numpy.random' not in sys.modules\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("spec", MODELS)
+    def test_hundred_thousand_trials_are_fast(self, spec):
+        rejection_set(RUNS, 9, ALPHA)  # tables warm, as in any repeated use
+        start = time.perf_counter()
+        rejection_rate(parse_model(spec), RUNS, 9, ALPHA, trials=100_000, seed=3)
+        assert time.perf_counter() - start < 0.25

@@ -9,6 +9,7 @@ from randaudit import (
     BINOMIAL,
     BinarySequence,
     CapExceededError,
+    LISTING_LIMIT,
     ONE_SIDED,
     RUNS,
     TWO_SIDED_DOUBLED,
@@ -118,6 +119,13 @@ class TestRejectionSets:
     def test_explicit_cap(self):
         with pytest.raises(CapExceededError):
             rejection_set(RUNS, 9, ALPHA, include_sequences=True, cap=8)
+
+    def test_explicit_listing_limit(self):
+        assert LISTING_LIMIT == 1 << 16
+        listed = rejection_set(BINOMIAL, 16, Fraction(1), include_sequences=True)
+        assert len(listed.sequences) == LISTING_LIMIT
+        with pytest.raises(CapExceededError, match=f"limit {LISTING_LIMIT}"):
+            rejection_set(BINOMIAL, 17, Fraction(1), include_sequences=True)
 
     @pytest.mark.parametrize("test", [RUNS, BINOMIAL])
     @pytest.mark.parametrize("n", range(1, 11))
