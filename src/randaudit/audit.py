@@ -17,7 +17,9 @@ without enumerating them:
   because a mask m toggles the adjacent-pair breaks m ^ (m >> 1).
 
 Enumeration survives only in the capped null-invariance check, an
-oracle over every mask.
+oracle over every mask.  That check and the run-count DP are the only
+users of numpy here, and each imports it itself, so verdicts, audits,
+spectra and head-count reversals run without loading it.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .exact import CapExceededError, ONE_SIDED, as_probability
 from .sequences import BinarySequence, RelabelMask, apply_relabeling
@@ -140,6 +140,8 @@ def _runs_reversal(bits: tuple[int, ...], targets: list[int]) -> tuple[bool, ...
     the smallest flip string among the fewest-flip masks.  Time and
     memory are O(n^2).
     """
+    import numpy as np
+
     n = len(bits)
     inf = n + 1
     dtype = np.min_scalar_type(n + 2)
@@ -247,6 +249,8 @@ def check_null_invariance(n: int, cap: int = INVARIANCE_CAP) -> NullInvarianceRe
         raise ValueError("length must be at least 1")
     if n > cap:
         raise CapExceededError(f"invariance check over 2^{n} masks exceeds cap {cap}")
+    import numpy as np
+
     size = 1 << n
     idx = np.arange(size, dtype=np.uint32)
     for m in range(size):

@@ -32,7 +32,7 @@ from .sequences import (
     mask_from_index_set,
     parse_sequence,
 )
-from .simulate import parse_model, posterior_odds, rejection_rate, sample_sequence
+from .simulate import parse_model, posterior_odds, rejection_rate
 from .verdicts import TESTS, binomial_test, rejection_set, runs_test
 
 
@@ -361,7 +361,6 @@ def _cmd_simulate(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    first_draw = sample_sequence(model, args.n, args.seed)
     report = build_report(
         "simulate",
         {
@@ -373,7 +372,7 @@ def _cmd_simulate(args) -> int:
             "trials": args.trials,
             "seed": args.seed,
         },
-        [estimate.as_dict(), {"first_draw": first_draw.text()}],
+        [estimate.as_dict(), {"first_draw": estimate.first_draw.text()}],
         [],
     )
     lines = [

@@ -22,7 +22,9 @@ TAIL_LENGTH_LIMIT = 5000 with CapExceededError, before anything is
 allocated.
 
 The enumeration route tallies the statistic over all 2^n sequences and
-is the oracle the table is validated against in the tests.
+is the oracle the table is validated against in the tests.  It is the
+only code here that uses numpy, and it imports numpy itself, so the
+table route never loads it.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 # Exact probabilities are plain Fractions; the alias marks intent.
 ExactProb = Fraction
@@ -240,6 +240,8 @@ def enumerate_runs_distribution(n: int, cap: int = ENUMERATION_CAP) -> RunsDistr
     limit = min(cap, _KERNEL_BITS)
     if n > limit:
         raise CapExceededError(f"enumeration over 2^{n} sequences exceeds cap {limit}")
+    import numpy as np
+
     counts = np.zeros(n + 1, dtype=np.int64)
     pair_mask = (1 << (n - 1)) - 1
     for start in range(0, 1 << n, _CHUNK):

@@ -26,6 +26,11 @@ planes; any other p costs about log2(4096) + 2 planes per position.
 There are no floats, no rounding and no limit on the denominator.  The
 Markov source draws a fair first plane and XORs switch planes into it;
 the switch planes of any source are the XORs of adjacent bit planes.
+
+Rejections are tallied on the planes as well: the column sums are kept
+bit-sliced, one int per binary digit of the sum, and compared with the
+rejected statistic values lane-parallel, so sampling and tallying use
+the standard library alone.
 """
 
 from __future__ import annotations
@@ -97,9 +102,6 @@ def parse_model(text: str) -> SourceModel:
 # Trials per block, the width of a bit plane.
 BLOCK_TRIALS = 4096
 _ALL_LANES = (1 << BLOCK_TRIALS) - 1
-_PLANE_BYTES = BLOCK_TRIALS // 8
-# Planes unpacked per numpy call while tallying: 64 x 4096 bytes.
-_TALLY_PLANES = 64
 # Simulation work, trials times length, is refused above this many
 # trial-positions.  At n = 9 that is 11 million trials, which took
 # 0.6-1.7 s by model as a CLI run on a 2-vCPU x86-64 machine.
@@ -149,19 +151,49 @@ def _bit_planes(model: SourceModel, n: int, seed: int, block: int) -> list[int]:
     return [_bernoulli_plane(rng, p) for _ in range(n)]
 
 
-def _count_rejected(planes: list[int], rejected_sums: tuple[int, ...], lanes: int) -> int:
-    """How many of the first ``lanes`` lanes have a column sum over ``planes`` in ``rejected_sums``."""
-    import numpy as np
+def _at_most(counter: list[int], t: int) -> int:
+    """Lanes whose bit-sliced ``counter`` value is at most ``t``.
 
-    sums = np.zeros(BLOCK_TRIALS, dtype=np.int32)
-    for start in range(0, len(planes), _TALLY_PLANES):
-        chunk = planes[start : start + _TALLY_PLANES]
-        raw = b"".join(plane.to_bytes(_PLANE_BYTES, "little") for plane in chunk)
-        bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(chunk), _PLANE_BYTES)
-        sums += np.unpackbits(bits, axis=1, bitorder="little").sum(axis=0, dtype=np.int32)
-    rejected = np.zeros(len(planes) + 1, dtype=bool)
-    rejected[list(rejected_sums)] = True
-    return int(np.count_nonzero(rejected[sums[:lanes]]))
+    Compares the value with t bit by bit from the top: ``below`` holds
+    the lanes already known smaller, ``equal`` those matching t so far.
+    """
+    if t < 0:
+        return 0
+    if t >> len(counter):
+        return _ALL_LANES
+    below, equal = 0, _ALL_LANES
+    for i in range(len(counter) - 1, -1, -1):
+        if t >> i & 1:
+            below |= equal & ~counter[i]
+            equal &= counter[i]
+        else:
+            equal &= ~counter[i]
+    return below | equal
+
+
+def _count_rejected(planes: list[int], rejected_sums: tuple[int, ...], lanes: int) -> int:
+    """How many of the first ``lanes`` lanes have a column sum over ``planes`` in ``rejected_sums``.
+
+    The column sums are kept bit-sliced: ``counter[i]`` holds bit i of
+    every lane's running sum, in m.bit_length() ints for m planes, and
+    each plane is added with a ripple carry.  Each maximal run lo..hi of
+    consecutive rejected sums then selects the lanes at most hi and not
+    at most lo - 1, so values outside 0..m select nothing.
+    """
+    counter = [0] * len(planes).bit_length()
+    for plane in planes:
+        i = 0
+        while plane:
+            counter[i], plane = counter[i] ^ plane, counter[i] & plane
+            i += 1
+    hits = 0
+    wanted = sorted(set(rejected_sums))
+    start = 0
+    for j, v in enumerate(wanted):
+        if j + 1 == len(wanted) or wanted[j + 1] != v + 1:  # v ends a run begun at wanted[start]
+            hits |= _at_most(counter, v) & ~_at_most(counter, wanted[start] - 1)
+            start = j + 1
+    return (hits & ((1 << lanes) - 1)).bit_count()
 
 
 def sample_sequence(model: SourceModel, n: int, seed: int) -> BinarySequence:
@@ -169,7 +201,12 @@ def sample_sequence(model: SourceModel, n: int, seed: int) -> BinarySequence:
     if n < 1:
         raise ValueError("length must be at least 1")
     _check_work(BLOCK_TRIALS, n)  # the whole first block is drawn
-    return BinarySequence.from_int(pack([plane & 1 for plane in _bit_planes(model, n, seed, 0)]), n)
+    return _lane_zero(_bit_planes(model, n, seed, 0))
+
+
+def _lane_zero(planes: list[int]) -> BinarySequence:
+    """The sequence in lane 0 of a block's bit planes."""
+    return BinarySequence.from_int(pack([plane & 1 for plane in planes]), len(planes))
 
 
 @dataclass(frozen=True)
@@ -183,6 +220,7 @@ class RejectionRateEstimate:
     seed: int
     rejected: int
     exact_fair_size: Fraction  # exact size of the test under the fair null
+    first_draw: BinarySequence  # trial 0, the draw sample_sequence returns; not reported by as_dict
 
     @property
     def rate(self) -> float:
@@ -227,8 +265,10 @@ def rejection_rate(
     the last block at full width too, so trial t is the same draw
     whatever ``trials`` is.  Each lane's statistic is a column sum of
     the planes, the bit planes for the head count and the switch planes
-    (plus one) for the run count, and a lookup over the rejected
-    statistic values decides it.  ``trials * n`` above
+    (plus one) for the run count, tallied bit-sliced in the stdlib by
+    :func:`_count_rejected` against the rejected statistic values.
+    Lane 0 of block 0 is kept as ``first_draw``, the sequence
+    :func:`sample_sequence` returns.  ``trials * n`` above
     SIMULATION_WORK_LIMIT is refused before anything is drawn.
     """
     if trials < 1:
@@ -242,6 +282,8 @@ def rejection_rate(
     hits = 0
     for block in range(-(-trials // BLOCK_TRIALS)):
         planes = _bit_planes(model, n, seed, block)
+        if block == 0:
+            first_draw = _lane_zero(planes)
         if test == RUNS:  # R - 1 counts the switches
             planes = [a ^ b for a, b in zip(planes, planes[1:])]
         hits += _count_rejected(planes, rejected_sums, min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS))
@@ -255,6 +297,7 @@ def rejection_rate(
         seed=seed,
         rejected=hits,
         exact_fair_size=region.exact_size,
+        first_draw=first_draw,
     )
 
 

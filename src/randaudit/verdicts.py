@@ -6,6 +6,7 @@ An entry holds the statistic of a packed sequence ``(value, n)``, its
 tail rule and its offset ``low``: under the null, statistic - low is
 Binomial(n - low, 1/2) (R - 1 for the run count R, the head count itself),
 so 2^low * C(n - low, v - low) sequences attain each value v in low..n.
+The entry also generates those sequences, for explicit rejection sets.
 
 A verdict pairs an observed statistic with its exact tail probability
 and a significance threshold.  The threshold is always an exact
@@ -23,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from itertools import combinations
+from typing import Callable, Iterator
 
 from .exact import (
     ENUMERATION_CAP,
@@ -45,8 +47,9 @@ TESTS = (RUNS, BINOMIAL)
 DEFAULT_ALPHA = Fraction(1, 20)
 
 # An explicit rejection set lists at most this many sequences.  The count
-# is the exact size's numerator, known before the 2^n scan.  Listing all
-# 2^22 sequences of n = 22 (runs, alpha = 1/2) took 30 s and 2.2 GB.
+# is the exact size's numerator, known before any sequence is built.
+# Listing all 2^22 sequences of n = 22 (runs, alpha = 1/2) took 30 s and
+# 2.2 GB.
 LISTING_LIMIT = 1 << 16
 
 
@@ -87,6 +90,30 @@ def _binomial_tail(n: int, k: int, convention: str) -> tuple[str, Fraction]:
     return ("upper" if 2 * k >= n else "lower"), p
 
 
+def _with_ones(width: int, k: int) -> Iterator[int]:
+    """Every int below 2^width with exactly k bits set."""
+    for chosen in combinations(range(width), k):
+        yield sum(1 << i for i in chosen)
+
+
+def _with_runs(n: int, r: int) -> Iterator[int]:
+    """Every packed length-n sequence with r runs.
+
+    Bit i of a break mask marks a break between positions i + 1 and
+    i + 2; choosing r - 1 of the n - 1 breaks and the first bit fixes the
+    sequence, whose bit j is the first bit XOR the breaks below j.
+    """
+    full = (1 << n) - 1
+    for breaks in _with_ones(n - 1, r - 1):
+        value, shift = breaks << 1, 1
+        while shift < n:  # prefix XOR toward the high bits
+            value ^= value << shift
+            shift <<= 1
+        value &= full
+        yield value  # first bit 0
+        yield value ^ full  # first bit 1
+
+
 @dataclass(frozen=True)
 class Statistic:
     """One test's statistic and null law."""
@@ -94,11 +121,12 @@ class Statistic:
     of: Callable[[int, int], int]  # the statistic of a packed (value, n)
     low: int  # statistic - low is Binomial(n - low, 1/2) under the null
     tail: Callable[[int, int, str], tuple[str, Fraction]]  # (n, value, convention) -> (tail, p)
+    attaining: Callable[[int, int], Iterator[int]]  # (n, value) -> every packed sequence with that statistic
 
 
 STATISTICS = {
-    RUNS: Statistic(runs_of, 1, _runs_tail),
-    BINOMIAL: Statistic(lambda value, n: value.bit_count(), 0, _binomial_tail),
+    RUNS: Statistic(runs_of, 1, _runs_tail, _with_runs),
+    BINOMIAL: Statistic(lambda value, n: value.bit_count(), 0, _binomial_tail, _with_ones),
 }
 
 
@@ -199,9 +227,10 @@ def rejection_set(
 
     The exact size is the null probability of attaining any rejected
     value.  With ``include_sequences`` the sequences themselves are
-    listed, which requires n within the enumeration cap and at most
-    LISTING_LIMIT of them; the statistic is computed on each packed
-    candidate and only the rejected ones become sequences.
+    listed in packed order, which requires n within the enumeration cap
+    and at most LISTING_LIMIT of them; they are built from the rejected
+    statistic values, so the work is proportional to the listing, not
+    to 2^n.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
@@ -215,8 +244,8 @@ def rejection_set(
             raise CapExceededError(f"explicit listing over 2^{n} sequences exceeds cap {cap}")
         if mass > LISTING_LIMIT:
             raise CapExceededError(f"explicit listing of {mass} sequences exceeds the limit {LISTING_LIMIT}")
-        wanted = frozenset(values)
-        sequences = tuple(BinarySequence.from_int(x, n) for x in range(1 << n) if stat.of(x, n) in wanted)
+        listed = sorted(x for v in values for x in stat.attaining(n, v))
+        sequences = tuple(BinarySequence.from_int(x, n) for x in listed)
     return RejectionSet(
         test=test,
         n=n,

@@ -1,8 +1,11 @@
 """CLI surface: subcommands, exit codes, report stability."""
 
 import json
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -318,3 +321,58 @@ class TestPosteriorRendering:
         code, out, err = invoke(capsys, "posterior", *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+SEQ = ("--seq", "HTTHTHHHT")
+# Paper-scale argv of every subcommand that must run without numpy.
+WITHOUT_NUMPY = [
+    ["--help"],
+    ["runs-test", *SEQ],
+    ["binomial-test", "--seq", "TTTTTTTTT", "--convention", "two-sided-doubled"],
+    ["relabel", "--seq", "HHHHHTTTT", "--x-set", "1,4,9"],
+    ["audit", *SEQ, "--x-set", "1,4,9", "--test", "runs", "--emit-witness"],
+    ["flip-search", *SEQ, "--test", "binomial"],
+    ["spectrum", *SEQ, "--test", "runs"],
+    ["distribution", "--n", "9"],
+    ["rejection-set", "--test", "runs", "--n", "9"],
+    ["rejection-set", "--test", "runs", "--n", "9", "--explicit"],
+    ["simulate", "--model", "fair", "--test", "runs", "--n", "9", "--trials", "5000"],
+    ["simulate", "--model", "biased:p=3/5", "--test", "binomial", "--n", "9", "--trials", "5000"],
+    ["simulate", "--model", "markov:stay=3/4", "--test", "runs", "--n", "9", "--trials", "5000"],
+    ["posterior", *SEQ, "--model", "biased:p=3/5"],
+    ["reproduce-paper"],
+]
+# The DP and the enumeration oracle are numpy's users.
+WITH_NUMPY = [
+    ["flip-search", *SEQ, "--test", "runs"],
+    ["distribution", "--n", "9", "--oracle"],
+]
+
+
+def numpy_loaded_after(argv: list[str]) -> bool:
+    """Run the CLI in a fresh interpreter; require exit 0 and say whether numpy was imported."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from randaudit.cli import run_cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = run_cli({argv!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    exit_code, loaded = done.stdout.split()
+    assert exit_code == "0", done.stderr
+    return loaded == "True"
+
+
+class TestNumpyIsLoadedOnlyWhereUsed:
+    @pytest.mark.parametrize("argv", WITHOUT_NUMPY, ids=" ".join)
+    def test_paper_scale_commands_run_without_numpy(self, argv):
+        assert not numpy_loaded_after(argv)
+
+    @pytest.mark.parametrize("argv", WITH_NUMPY, ids=" ".join)
+    def test_dp_and_oracle_still_load_it(self, argv):
+        assert numpy_loaded_after(argv)

@@ -33,7 +33,7 @@ from randaudit import (
     runs_test,
     sample_sequence,
 )
-from randaudit.simulate import _bernoulli_plane, _bit_planes
+from randaudit.simulate import _bernoulli_plane, _bit_planes, _count_rejected
 
 ALPHA = Fraction(1, 20)
 
@@ -271,6 +271,14 @@ class TestBlockSampler:
             for test, verdict in ((RUNS, runs_test(seq, ALPHA)), (BINOMIAL, binomial_test(seq, ALPHA))):
                 assert rejection_rate(model, test, 12, ALPHA, trials=1, seed=seed).rejected == verdict.rejected
 
+    @pytest.mark.parametrize("spec", MODELS)
+    @pytest.mark.parametrize("test", [RUNS, BINOMIAL])
+    def test_first_draw_is_sample_sequence(self, spec, test):
+        model = parse_model(spec)
+        for seed in range(5):
+            est = rejection_rate(model, test, 12, ALPHA, trials=BLOCK_TRIALS + 1, seed=seed)
+            assert est.first_draw == sample_sequence(model, 12, seed)
+
     @pytest.mark.parametrize("p, planes", [(Fraction(0), 0), (Fraction(1), 0), (Fraction(1, 2), 1), (Fraction(3, 8), 3)])
     def test_dyadic_plane_uses_its_digits(self, p, planes):
         rng, ref = random.Random("plane"), random.Random("plane")
@@ -317,11 +325,37 @@ class TestBlockSampler:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert run_cli(['simulate', '--model', 'markov:stay=3/4', '--test', 'runs', '--n', '9',"
             " '--trials', '5000']) == 0\n"
-            "assert 'numpy' in sys.modules and 'numpy.random' not in sys.modules\n"
+            "assert 'numpy' not in sys.modules and 'numpy.random' not in sys.modules\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, timeout=60)
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 15, 16, 17, 300])
+    def test_tally_matches_column_sums(self, m):
+        # Lane t is set with chance t / BLOCK_TRIALS, so the column sums
+        # spread over 0..m and both tails are populated.  The counter is
+        # m.bit_length() bits wide; m = 7, 8, 15, 16, 17 cross a power of two.
+        rng = random.Random(f"tally:{m}")
+        rows = [[rng.random() * BLOCK_TRIALS < t for t in range(BLOCK_TRIALS)] for _ in range(m)]
+        planes = [sum(1 << t for t, bit in enumerate(row) if bit) for row in rows]
+        sums = [0] * BLOCK_TRIALS
+        for plane in planes:
+            for t in range(BLOCK_TRIALS):
+                sums[t] += (plane >> t) & 1
+        rejected_sets = [
+            (),
+            tuple(range(m + 1)),
+            (m // 2,),
+            (0, 1, m - 1, m),
+            (0, 2, m // 2, m // 2 + 1, m),
+            (m + 1,),
+            (m, m + 1, m + 5),
+        ]
+        for rejected in rejected_sets:
+            for lanes in (1, BLOCK_TRIALS - 1, BLOCK_TRIALS):
+                expected = sum(s in rejected for s in sums[:lanes])
+                assert _count_rejected(planes, rejected, lanes) == expected, (rejected, lanes)
 
     @pytest.mark.parametrize("spec", MODELS)
     def test_hundred_thousand_trials_are_fast(self, spec):

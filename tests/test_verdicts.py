@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from randaudit import (
@@ -169,6 +170,22 @@ def test_rejection_set_against_rule_and_tally(test, convention, n):
         if result.sequences is not None:
             listed = [s.as_int() for s in result.sequences]
             assert listed == sorted(BinarySequence(bits).as_int() for bits in hits)
+
+
+@pytest.mark.parametrize("convention", [ONE_SIDED, TWO_SIDED_DOUBLED])
+@pytest.mark.parametrize("test", [RUNS, BINOMIAL])
+@pytest.mark.parametrize("n, alpha", [(16, Fraction(1, 4)), (20, Fraction(1, 100))])
+def test_listing_matches_packed_scan(n, alpha, test, convention):
+    # Scan all 2^n packed sequences in numpy, independently of the listing.
+    result = rejection_set(test, n, alpha, convention, include_sequences=True)
+    x = np.arange(1 << n, dtype=np.uint32)
+    if test == RUNS:
+        stats = np.bitwise_count((x ^ (x >> np.uint32(1))) & np.uint32((1 << (n - 1)) - 1)) + 1
+    else:
+        stats = np.bitwise_count(x)
+    scanned = x[np.isin(stats, list(result.statistic_values))].tolist()
+    assert scanned
+    assert [s.as_int() for s in result.sequences] == scanned
 
 
 class TestStatisticHelpers:
