@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, report stability."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from randaudit import LISTING_LIMIT, SIMULATION_WORK_LIMIT, TAIL_LENGTH_LIMIT, runs_test, parse_sequence
-from randaudit.cli import run_cli
+from randaudit.cli import build_parser, run_cli
 
 
 def invoke(capsys, *argv):
@@ -376,3 +377,79 @@ class TestNumpyIsLoadedOnlyWhereUsed:
     @pytest.mark.parametrize("argv", WITH_NUMPY, ids=" ".join)
     def test_dp_and_oracle_still_load_it(self, argv):
         assert numpy_loaded_after(argv)
+
+
+# Every subcommand's options as ``build_parser()`` declared them before the
+# subcommands moved into one table: option -> (required, default, choices,
+# type), in declaration order.  Goldens only see the argv they run; this
+# sees a flag that no golden passes.
+CONV = ("paper-one-sided", "two-sided-doubled")
+TEST = ("runs", "binomial")
+SEQ_FLAGS = {"--seq": (True, None, None, None), "--vocab": (False, "heads/tails", None, None)}
+MASK_FLAGS = {"--x-set": (False, None, None, None), "--mask": (False, None, None, None)}
+ALPHA = {"--alpha": (False, "1/20", None, None)}
+CONVENTION = {"--convention": (False, "paper-one-sided", CONV, None)}
+PRETTY = {"--pretty": (False, False, None, None)}
+FLAG_INVENTORY = {
+    "runs-test": {**SEQ_FLAGS, **ALPHA, **PRETTY},
+    "binomial-test": {**SEQ_FLAGS, **ALPHA, **CONVENTION, **PRETTY},
+    "relabel": {**SEQ_FLAGS, **MASK_FLAGS, **PRETTY},
+    "audit": {
+        **SEQ_FLAGS, **MASK_FLAGS, "--test": (True, None, TEST, None), **ALPHA, **CONVENTION,
+        "--emit-witness": (False, False, None, None), **PRETTY,
+    },
+    "flip-search": {
+        **SEQ_FLAGS, "--test": (True, None, TEST, None), **ALPHA, **CONVENTION,
+        "--minimize": (False, False, None, None), "--emit-witness": (False, False, None, None), **PRETTY,
+    },
+    "spectrum": {**SEQ_FLAGS, "--test": (True, None, TEST, None), **CONVENTION, **PRETTY},
+    "distribution": {
+        "--n": (True, None, None, int), "--oracle": (False, False, None, None),
+        "--format": (False, "json", ("json", "csv"), None), **PRETTY,
+    },
+    "rejection-set": {
+        "--test": (True, None, TEST, None), "--n": (True, None, None, int), **ALPHA, **CONVENTION,
+        "--explicit": (False, False, None, None), **PRETTY,
+    },
+    "simulate": {
+        "--model": (False, "fair", None, None), "--test": (True, None, TEST, None), "--n": (True, None, None, int),
+        **ALPHA, **CONVENTION, "--trials": (False, 100_000, None, int), "--seed": (False, 0, None, int), **PRETTY,
+    },
+    "posterior": {**SEQ_FLAGS, "--model": (True, None, None, None), "--prior-odds": (False, "1", None, None), **PRETTY},
+    "reproduce-paper": {**PRETTY},
+}
+# Subcommands with the required --x-set/--mask choice.
+MASK_GROUP = {"relabel", "audit"}
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert action.required
+    return action.choices
+
+
+class TestFlagInventory:
+    def test_subcommands_in_order(self):
+        assert list(subparsers()) == list(FLAG_INVENTORY)
+
+    @pytest.mark.parametrize("name", FLAG_INVENTORY)
+    def test_options_match_the_inventory(self, name):
+        declared = {
+            action.option_strings[0]: (
+                action.required,
+                action.default,
+                None if action.choices is None else tuple(action.choices),
+                action.type,
+            )
+            for action in subparsers()[name]._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        assert list(declared.items()) == list(FLAG_INVENTORY[name].items())
+
+    @pytest.mark.parametrize("name", FLAG_INVENTORY)
+    def test_mask_group(self, name):
+        groups = [
+            ([a.option_strings for a in g._group_actions], g.required)
+            for g in subparsers()[name]._mutually_exclusive_groups
+        ]
+        assert groups == ([([["--x-set"], ["--mask"]], True)] if name in MASK_GROUP else [])

@@ -1,8 +1,8 @@
 """Golden CLI reports: stdout and exit code, byte for byte.
 
 Each case's expected stdout and exit code are stored in
-``tests/golden/<name>.json``.  They pin the reports of every
-subcommand, plus parse and cap errors.  The two seeded ``simulate``
+``tests/golden/<name>.json``.  They pin the JSON and ``--pretty``
+output of every subcommand, plus usage, parse, cap and rendering errors.  The two seeded ``simulate``
 reports pin the sampler's stream too, so a change to the sampled bits
 has to be deliberate.  After an intended change to a report, rewrite
 the files with ``PYTHONPATH=src python tests/test_golden.py`` and
@@ -54,7 +54,24 @@ CASES = {
     "posterior-markov": ["posterior", "--seq", "HHHHHHHHHT", "--model", "markov:stay=3/4", "--prior-odds", "1/3"],
     "posterior-biased-pretty": ["posterior", "--seq", "HTTH", "--model", "biased:p=3/5", "--pretty"],
     "reproduce-paper": ["reproduce-paper"],
+    "binomial-test-pretty": ["binomial-test", "--seq", "HTTHTHHHT", "--pretty"],
+    "relabel-pretty": ["relabel", "--seq", "HHHHHTTTT", "--x-set", "1,4,9", "--pretty"],
+    "flip-search-none-pretty": ["flip-search", "--seq", "H", "--test", "runs", "--pretty"],
+    "spectrum-doubled-pretty": [
+        "spectrum", "--seq", "HTTHTHHHT", "--test", "binomial", "--convention", "two-sided-doubled", "--pretty",
+    ],
+    "distribution-pretty": ["distribution", "--n", "9", "--pretty"],
+    "distribution-csv-pretty": ["distribution", "--n", "5", "--format", "csv", "--pretty"],
+    "rejection-set-explicit-pretty": ["rejection-set", "--test", "runs", "--n", "9", "--explicit", "--pretty"],
+    "simulate-biased-pretty": [
+        "simulate", "--model", "biased:p=1/3", "--test", "runs", "--n", "9", "--trials", "5000", "--seed", "3",
+        "--pretty",
+    ],
+    "reproduce-paper-pretty": ["reproduce-paper", "--pretty"],
     "error-illegal-character": ["runs-test", "--seq", "HXT"],
+    "error-bad-alpha": ["runs-test", "--seq", "HT", "--alpha", "7/2"],
+    "error-unknown-flag": ["runs-test", "--seq", "HT", "--sideways"],
+    "error-posterior-unrenderable": ["posterior", "--seq", "HTTH", "--model", "biased:p=3/5", "--prior-odds", "1e5000"],
     "error-mask-length": ["relabel", "--seq", "HTT", "--mask", "0101"],
     "error-oracle-cap": ["distribution", "--n", "25", "--oracle"],
 }
