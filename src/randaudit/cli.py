@@ -5,13 +5,23 @@ with ``--pretty``).  Exit codes: 0 success, 2 usage or input-parsing
 error, 1 computation error such as an exceeded enumeration cap or a
 length beyond the exact-tail limit, and 1 when ``reproduce-paper``
 detects a deviation from its pinned values.
+
+Each subcommand is one ``COMMANDS`` row: its help text, the options it
+takes and a function from the parsed options to the report fields it
+sets and its ``--pretty`` lines.  Each option is one ``OPTIONS`` entry:
+its argparse flags, how it is parsed and how it is echoed into the
+report's ``inputs``.  One driver builds the parser from the two tables,
+parses and echoes the options in ``OPTIONS`` order, and renders the
+report.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import report as report_mod
 from .audit import find_flipping_mask, pvalue_spectrum, verdict_under_relabeling
@@ -32,115 +42,28 @@ from .sequences import (
     mask_from_index_set,
     parse_sequence,
 )
-from .simulate import parse_model, posterior_odds, rejection_rate
+from .simulate import SourceModel, parse_model, posterior_odds, rejection_rate
 from .verdicts import TESTS, binomial_test, rejection_set, runs_test
 
 
-def _add_seq_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seq", required=True, help="sequence text over H/h/1 and T/t/0")
-    p.add_argument("--vocab", default="heads/tails", help="label for rendering only")
+@dataclass(frozen=True)
+class Option:
+    """One option: its flags, its parse and its echo into ``inputs``."""
+
+    flags: tuple[tuple[str, dict], ...]  # (flag, add_argument keywords)
+    parse: Callable[[argparse.Namespace, dict], object]  # (args, options parsed so far) -> value
+    echo: Callable[[object], dict] | None  # value -> ``inputs`` entries; None if not echoed
+    exclusive: bool = False  # the flags form a required mutually exclusive group
 
 
-def _add_alpha_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", default="1/20", help="significance threshold, e.g. 1/20 or 0.05")
-
-
-def _add_convention_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--convention", choices=CONVENTIONS, default=ONE_SIDED)
-
-
-def _add_mask_args(p: argparse.ArgumentParser, required: bool = True) -> None:
-    group = p.add_mutually_exclusive_group(required=required)
-    group.add_argument("--x-set", help="comma-separated 1-based kept positions, e.g. 1,4,9")
-    group.add_argument("--mask", help="explicit flip string over 0/1, position 1 first")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="randaudit",
-        description="Exact randomness-test verdicts and relabeling audits for binary sequences.",
+def _flag(flag: str, parse=None, echo=lambda value: value, **keywords) -> Option:
+    """A one-flag option, echoed under its own name unless ``echo`` is None."""
+    dest = flag[2:].replace("-", "_")
+    return Option(
+        ((flag, keywords),),
+        lambda args, got: getattr(args, dest) if parse is None else parse(getattr(args, dest)),
+        None if echo is None else (lambda value: {dest: echo(value)}),
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("runs-test", help="exact run-count verdict")
-    _add_seq_args(p)
-    _add_alpha_arg(p)
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("binomial-test", help="exact head-count verdict")
-    _add_seq_args(p)
-    _add_alpha_arg(p)
-    _add_convention_arg(p)
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("relabel", help="apply a vocabulary relabeling")
-    _add_seq_args(p)
-    _add_mask_args(p)
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("audit", help="verdicts before and after a relabeling")
-    _add_seq_args(p)
-    _add_mask_args(p)
-    p.add_argument("--test", choices=TESTS, required=True)
-    _add_alpha_arg(p)
-    _add_convention_arg(p)
-    p.add_argument("--emit-witness", action="store_true", help="include the relabeled rendering")
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("flip-search", help="find a verdict-reversing relabeling")
-    _add_seq_args(p)
-    p.add_argument("--test", choices=TESTS, required=True)
-    _add_alpha_arg(p)
-    _add_convention_arg(p)
-    p.add_argument(
-        "--minimize",
-        action="store_true",
-        help="accepted and echoed in the report; every search already returns the fewest flips, "
-        "lexicographic tie-break",
-    )
-    p.add_argument("--emit-witness", action="store_true")
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("spectrum", help="p-value multiset over all relabelings")
-    _add_seq_args(p)
-    p.add_argument("--test", choices=TESTS, required=True)
-    _add_convention_arg(p)
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("distribution", help="exact run-count distribution table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--oracle", action="store_true", help="tally by full enumeration instead of the closed form")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("rejection-set", help="statistic values rejected at a threshold")
-    p.add_argument("--test", choices=TESTS, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_alpha_arg(p)
-    _add_convention_arg(p)
-    p.add_argument("--explicit", action="store_true", help="list the rejected sequences themselves")
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("simulate", help="sample a source and estimate the rejection rate")
-    p.add_argument("--model", default="fair", help="fair | biased:p=NUM/DEN | markov:stay=NUM/DEN")
-    p.add_argument("--test", choices=TESTS, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_alpha_arg(p)
-    _add_convention_arg(p)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("posterior", help="exact posterior odds of an alternative source")
-    _add_seq_args(p)
-    p.add_argument("--model", required=True, help="alternative source model")
-    p.add_argument("--prior-odds", default="1", help="prior odds as a positive rational")
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("reproduce-paper", help="recompute the pinned worked examples")
-    p.add_argument("--pretty", action="store_true")
-
-    return parser
 
 
 def _parse_mask(args: argparse.Namespace, n: int) -> RelabelMask:
@@ -156,11 +79,70 @@ def _parse_mask(args: argparse.Namespace, n: int) -> RelabelMask:
     return mask_from_index_set(indices, n)
 
 
-def _emit(args: argparse.Namespace, report: dict, pretty_lines: list[str]) -> None:
-    if getattr(args, "pretty", False):
-        print("\n".join(pretty_lines))
-    else:
-        sys.stdout.write(to_json(report))
+def _rendered(render: Callable, value):
+    """``render(value)``, refused with exit 1 for posterior odds that cannot be rendered."""
+    try:
+        return render(value)
+    except (ValueError, OverflowError):  # int-to-str digit limit, float range
+        raise CapExceededError("posterior odds are too large or too precise to render") from None
+
+
+# In the order the options are declared, parsed and echoed.
+OPTIONS = {
+    "seq": Option(
+        (
+            ("--seq", {"required": True, "help": "sequence text over H/h/1 and T/t/0"}),
+            ("--vocab", {"default": "heads/tails", "help": "label for rendering only"}),
+        ),
+        lambda args, got: parse_sequence(args.seq, args.vocab),
+        lambda seq: {"seq": seq.text(), "vocab": seq.vocab},
+    ),
+    "mask": Option(
+        (
+            ("--x-set", {"help": "comma-separated 1-based kept positions, e.g. 1,4,9"}),
+            ("--mask", {"help": "explicit flip string over 0/1, position 1 first"}),
+        ),
+        lambda args, got: _parse_mask(args, got["seq"].n),
+        lambda mask: {"mask": mask.flip_string(), "x_set": list(mask.index_set())},
+        exclusive=True,
+    ),
+    "model": _flag(
+        "--model",
+        parse_model,
+        SourceModel.spec_string,
+        default="fair",
+        help="fair | biased:p=NUM/DEN | markov:stay=NUM/DEN",
+    ),
+    "alternative": _flag(
+        "--model", parse_model, SourceModel.spec_string, required=True, help="alternative source model"
+    ),
+    "prior_odds": _flag(
+        "--prior-odds",
+        Fraction,
+        lambda prior: _rendered(str, prior),
+        default="1",
+        help="prior odds as a positive rational",
+    ),
+    "test": _flag("--test", choices=TESTS, required=True),
+    "n": _flag("--n", type=int, required=True),
+    "alpha": _flag(
+        "--alpha", parse_probability, prob_dict, default="1/20", help="significance threshold, e.g. 1/20 or 0.05"
+    ),
+    "convention": _flag("--convention", choices=CONVENTIONS, default=ONE_SIDED),
+    "trials": _flag("--trials", type=int, default=100_000),
+    "seed": _flag("--seed", type=int, default=0),
+    "minimize": _flag(
+        "--minimize",
+        action="store_true",
+        help="accepted and echoed in the report; every search already returns the fewest flips, "
+        "lexicographic tie-break",
+    ),
+    "explicit": _flag("--explicit", action="store_true", help="list the rejected sequences themselves"),
+    "oracle": _flag("--oracle", action="store_true", help="tally by full enumeration instead of the closed form"),
+    "emit_witness": _flag("--emit-witness", echo=None, action="store_true", help="include the relabeled rendering"),
+    "format": _flag("--format", echo=None, choices=["json", "csv"], default="json"),
+    "pretty": _flag("--pretty", echo=None, action="store_true"),
+}
 
 
 def _pretty_prob(p: Fraction) -> str:
@@ -176,238 +158,101 @@ def _pretty_verdict(v) -> str:
     )
 
 
-def _cmd_runs_test(args) -> int:
-    seq = parse_sequence(args.seq, args.vocab)
-    verdict = runs_test(seq, parse_probability(args.alpha))
-    report = build_report(
-        "runs-test",
-        {"seq": seq.text(), "vocab": seq.vocab, "alpha": prob_dict(verdict.alpha)},
-        [verdict.as_dict()],
-        [],
-    )
-    _emit(args, report, [f"sequence {seq.text()}", _pretty_verdict(verdict)])
-    return 0
+# Each function below maps the parsed options to (report fields, pretty
+# lines).  The fields are laid over the report ``build_report`` makes from
+# the echoed inputs, with empty results and notes.
 
 
-def _cmd_binomial_test(args) -> int:
-    seq = parse_sequence(args.seq, args.vocab)
-    alpha = parse_probability(args.alpha)
-    verdict = binomial_test(seq, alpha, args.convention)
-    results = [verdict.as_dict()]
-    notes = []
-    if args.convention == TWO_SIDED_DOUBLED:
-        one_sided = binomial_test(seq, alpha, ONE_SIDED)
-        results.append({"one_sided": one_sided.as_dict()})
-        notes.append(report_mod.CONVENTION_NOTE)
-    report = build_report(
-        "binomial-test",
-        {
-            "seq": seq.text(),
-            "vocab": seq.vocab,
-            "alpha": prob_dict(alpha),
-            "convention": args.convention,
-        },
-        results,
-        notes,
-    )
-    _emit(args, report, [f"sequence {seq.text()}", _pretty_verdict(verdict)])
-    return 0
+def _runs_test(got: dict) -> tuple[dict, list[str]]:
+    verdict = runs_test(got["seq"], got["alpha"])
+    return {"results": [verdict.as_dict()]}, [f"sequence {got['seq'].text()}", _pretty_verdict(verdict)]
 
 
-def _cmd_relabel(args) -> int:
-    seq = parse_sequence(args.seq, args.vocab)
-    mask = _parse_mask(args, seq.n)
+def _binomial_test(got: dict) -> tuple[dict, list[str]]:
+    seq, alpha, convention = got["seq"], got["alpha"], got["convention"]
+    verdict = binomial_test(seq, alpha, convention)
+    fields = {"results": [verdict.as_dict()]}
+    if convention == TWO_SIDED_DOUBLED:
+        fields["results"].append({"one_sided": binomial_test(seq, alpha, ONE_SIDED).as_dict()})
+        fields["notes"] = [report_mod.CONVENTION_NOTE]
+    return fields, [f"sequence {seq.text()}", _pretty_verdict(verdict)]
+
+
+def _relabel(got: dict) -> tuple[dict, list[str]]:
+    seq, mask = got["seq"], got["mask"]
     out = apply_relabeling(seq, mask)
-    report = build_report(
-        "relabel",
-        {"seq": seq.text(), "vocab": seq.vocab, "mask": mask.flip_string(), "x_set": list(mask.index_set())},
-        [{"relabeled": out.text(lower=True), "vocab": out.vocab}],
-        [],
-    )
-    _emit(
-        args,
-        report,
-        [f"original  {seq.text()}", f"mask      {mask.flip_string()}", f"relabeled {out.text(lower=True)}"],
-    )
-    return 0
+    lines = [f"original  {seq.text()}", f"mask      {mask.flip_string()}", f"relabeled {out.text(lower=True)}"]
+    return {"results": [{"relabeled": out.text(lower=True), "vocab": out.vocab}]}, lines
 
 
-def _cmd_audit(args) -> int:
-    seq = parse_sequence(args.seq, args.vocab)
-    mask = _parse_mask(args, seq.n)
-    alpha = parse_probability(args.alpha)
-    audit = verdict_under_relabeling(seq, mask, args.test, alpha, args.convention)
-    report = build_report(
-        "audit",
-        {
-            "seq": seq.text(),
-            "vocab": seq.vocab,
-            "mask": mask.flip_string(),
-            "x_set": list(mask.index_set()),
-            "test": args.test,
-            "alpha": prob_dict(alpha),
-            "convention": args.convention,
-        },
-        [audit.as_dict(emit_witness=args.emit_witness)],
-        [],
-    )
+def _audit(got: dict) -> tuple[dict, list[str]]:
+    audit = verdict_under_relabeling(got["seq"], got["mask"], got["test"], got["alpha"], got["convention"])
     lines = [
-        f"original  {seq.text()}: {_pretty_verdict(audit.original)}",
+        f"original  {got['seq'].text()}: {_pretty_verdict(audit.original)}",
         f"relabeled {audit.relabeled_sequence.text(lower=True)}: {_pretty_verdict(audit.relabeled)}",
         f"verdict flipped: {'yes' if audit.flipped else 'no'}",
     ]
-    _emit(args, report, lines)
-    return 0
+    return {"results": [audit.as_dict(emit_witness=got["emit_witness"])]}, lines
 
 
-def _cmd_flip_search(args) -> int:
-    seq = parse_sequence(args.seq, args.vocab)
-    alpha = parse_probability(args.alpha)
-    found = find_flipping_mask(seq, args.test, alpha, args.convention, minimize=args.minimize)
-    result = found.as_dict(emit_witness=args.emit_witness) if found else {"found": False}
-    report = build_report(
-        "flip-search",
-        {
-            "seq": seq.text(),
-            "vocab": seq.vocab,
-            "test": args.test,
-            "alpha": prob_dict(alpha),
-            "convention": args.convention,
-            "minimize": args.minimize,
-        },
-        [result],
-        [],
-    )
-    if found:
-        lines = [
-            f"reversing mask {found.mask.flip_string()} ({found.mask.flip_count()} flips, {found.method})",
-            f"guaranteed minimal: {'yes' if found.guaranteed_minimal else 'no'}",
-            f"relabeled {found.audit.relabeled_sequence.text(lower=True)}: {_pretty_verdict(found.audit.relabeled)}",
-        ]
-    else:
-        lines = ["no relabeling reverses this verdict"]
-    _emit(args, report, lines)
-    return 0
-
-
-def _cmd_spectrum(args) -> int:
-    seq = parse_sequence(args.seq, args.vocab)
-    spectrum = pvalue_spectrum(seq, args.test, args.convention)
-    rows = [
-        {"p": prob_dict(p), "count": count}
-        for p, count in sorted(spectrum.items(), key=lambda item: item[0])
+def _flip_search(got: dict) -> tuple[dict, list[str]]:
+    found = find_flipping_mask(got["seq"], got["test"], got["alpha"], got["convention"], minimize=got["minimize"])
+    if not found:
+        return {"results": [{"found": False}]}, ["no relabeling reverses this verdict"]
+    lines = [
+        f"reversing mask {found.mask.flip_string()} ({found.mask.flip_count()} flips, {found.method})",
+        f"guaranteed minimal: {'yes' if found.guaranteed_minimal else 'no'}",
+        f"relabeled {found.audit.relabeled_sequence.text(lower=True)}: {_pretty_verdict(found.audit.relabeled)}",
     ]
-    report = build_report(
-        "spectrum",
-        {"seq": seq.text(), "vocab": seq.vocab, "test": args.test, "convention": args.convention},
-        rows,
-        [],
-    )
-    lines = [f"{row['p']['num']}/{row['p']['den']} ({row['p']['decimal']}): {row['count']} masks" for row in rows]
-    _emit(args, report, lines)
-    return 0
+    return {"results": [found.as_dict(emit_witness=got["emit_witness"])]}, lines
 
 
-def _cmd_distribution(args) -> int:
-    dist = enumerate_runs_distribution(args.n) if args.oracle else runs_distribution(args.n)
-    if args.format == "csv":
-        sys.stdout.write(dist.to_csv())
-        return 0
+def _spectrum(got: dict) -> tuple[dict, list[str]]:
+    spectrum = sorted(pvalue_spectrum(got["seq"], got["test"], got["convention"]).items())
+    rows = [{"p": prob_dict(p), "count": count} for p, count in spectrum]
+    return {"results": rows}, [f"{_pretty_prob(p)}: {count} masks" for p, count in spectrum]
+
+
+def _distribution(got: dict) -> tuple[dict, list[str]]:
+    dist = enumerate_runs_distribution(got["n"]) if got["oracle"] else runs_distribution(got["n"])
+    if got["format"] == "csv":
+        return {}, dist.to_csv().splitlines()
     table = dist.to_json_dict()
-    report = build_report("distribution", {"n": args.n, "oracle": bool(args.oracle)}, [table], [])
     lines = [f"r={row['r']:>3}  count={row['count']}  pmf={row['pmf']['decimal']}" for row in table["rows"]]
-    _emit(args, report, lines)
-    return 0
+    return {"results": [table]}, lines
 
 
-def _cmd_rejection_set(args) -> int:
-    result = rejection_set(
-        args.test,
-        args.n,
-        parse_probability(args.alpha),
-        args.convention,
-        include_sequences=args.explicit,
-    )
-    report = build_report(
-        "rejection-set",
-        {
-            "test": args.test,
-            "n": args.n,
-            "alpha": prob_dict(result.alpha),
-            "convention": args.convention,
-            "explicit": bool(args.explicit),
-        },
-        [result.as_dict()],
-        [],
-    )
+def _rejection_set(got: dict) -> tuple[dict, list[str]]:
+    result = rejection_set(got["test"], got["n"], got["alpha"], got["convention"], include_sequences=got["explicit"])
     lines = [
         f"rejected statistic values: {list(result.statistic_values)}",
         f"exact size: {_pretty_prob(result.exact_size)}",
     ]
     if result.sequences is not None:
         lines.append(f"sequences ({len(result.sequences)}): " + " ".join(s.text() for s in result.sequences))
-    _emit(args, report, lines)
-    return 0
+    return {"results": [result.as_dict()]}, lines
 
 
-def _cmd_simulate(args) -> int:
-    model = parse_model(args.model)
+def _simulate(got: dict) -> tuple[dict, list[str]]:
     estimate = rejection_rate(
-        model,
-        args.test,
-        args.n,
-        parse_probability(args.alpha),
-        args.convention,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    report = build_report(
-        "simulate",
-        {
-            "model": model.spec_string(),
-            "test": args.test,
-            "n": args.n,
-            "alpha": prob_dict(estimate.alpha),
-            "convention": args.convention,
-            "trials": args.trials,
-            "seed": args.seed,
-        },
-        [estimate.as_dict(), {"first_draw": estimate.first_draw.text()}],
-        [],
+        got["model"], got["test"], got["n"], got["alpha"], got["convention"], trials=got["trials"], seed=got["seed"]
     )
     lines = [
         f"rejected {estimate.rejected}/{estimate.trials} (rate {estimate.rate:.5f}, se {estimate.standard_error:.5f})",
         f"exact size under the fair null: {_pretty_prob(estimate.exact_fair_size)}",
     ]
-    _emit(args, report, lines)
-    return 0
+    return {"results": [estimate.as_dict(), {"first_draw": estimate.first_draw.text()}]}, lines
 
 
-def _cmd_posterior(args) -> int:
-    seq = parse_sequence(args.seq, args.vocab)
-    alt = parse_model(args.model)
-    prior = Fraction(args.prior_odds)
-    odds = posterior_odds(prior, alt, seq)
-    try:  # refuse odds the report cannot render, before any output
-        prior_text, text, approx = str(prior), str(odds), float(odds)
-    except (ValueError, OverflowError):  # int-to-str digit limit, float range
-        raise CapExceededError("posterior odds are too large or too precise to render") from None
-    report = build_report(
-        "posterior",
-        {"seq": seq.text(), "vocab": seq.vocab, "model": alt.spec_string(), "prior_odds": prior_text},
-        [
-            {
-                "posterior_odds": {"num": odds.numerator, "den": odds.denominator},
-                "posterior_odds_float": approx,
-            }
-        ],
-        [],
-    )
-    _emit(args, report, [f"posterior odds = {text} = {approx:.6g}"])
-    return 0
+def _posterior(got: dict) -> tuple[dict, list[str]]:
+    odds = posterior_odds(got["prior_odds"], got["alternative"], got["seq"])
+    text, approx = _rendered(str, odds), _rendered(float, odds)
+    result = {"posterior_odds": {"num": odds.numerator, "den": odds.denominator}, "posterior_odds_float": approx}
+    return {"results": [result]}, [f"posterior odds = {text} = {approx:.6g}"]
 
 
-def _cmd_reproduce(args) -> int:
+def _reproduce(got: dict) -> tuple[dict, list[str]]:
+    """The pinned report, inputs and deviations included, as ``reproduce_paper`` builds it."""
     report, deviations = report_mod.reproduce_paper()
     lines = []
     for section in report["results"]:
@@ -421,23 +266,82 @@ def _cmd_reproduce(args) -> int:
     lines.extend(report["notes"])
     if deviations:
         lines.append("deviations: " + ", ".join(deviations))
-    _emit(args, report, lines)
-    return 1 if deviations else 0
+    return report, lines
 
 
-_HANDLERS = {
-    "runs-test": _cmd_runs_test,
-    "binomial-test": _cmd_binomial_test,
-    "relabel": _cmd_relabel,
-    "audit": _cmd_audit,
-    "flip-search": _cmd_flip_search,
-    "spectrum": _cmd_spectrum,
-    "distribution": _cmd_distribution,
-    "rejection-set": _cmd_rejection_set,
-    "simulate": _cmd_simulate,
-    "posterior": _cmd_posterior,
-    "reproduce-paper": _cmd_reproduce,
+@dataclass(frozen=True)
+class Command:
+    help: str
+    options: tuple[str, ...]  # keys of OPTIONS
+    run: Callable[[dict], tuple[dict, list[str]]]  # parsed options -> (report fields, pretty lines)
+
+
+COMMANDS = {
+    "runs-test": Command("exact run-count verdict", ("seq", "alpha", "pretty"), _runs_test),
+    "binomial-test": Command("exact head-count verdict", ("seq", "alpha", "convention", "pretty"), _binomial_test),
+    "relabel": Command("apply a vocabulary relabeling", ("seq", "mask", "pretty"), _relabel),
+    "audit": Command(
+        "verdicts before and after a relabeling",
+        ("seq", "mask", "test", "alpha", "convention", "emit_witness", "pretty"),
+        _audit,
+    ),
+    "flip-search": Command(
+        "find a verdict-reversing relabeling",
+        ("seq", "test", "alpha", "convention", "minimize", "emit_witness", "pretty"),
+        _flip_search,
+    ),
+    "spectrum": Command("p-value multiset over all relabelings", ("seq", "test", "convention", "pretty"), _spectrum),
+    "distribution": Command("exact run-count distribution table", ("n", "oracle", "format", "pretty"), _distribution),
+    "rejection-set": Command(
+        "statistic values rejected at a threshold",
+        ("test", "n", "alpha", "convention", "explicit", "pretty"),
+        _rejection_set,
+    ),
+    "simulate": Command(
+        "sample a source and estimate the rejection rate",
+        ("model", "test", "n", "alpha", "convention", "trials", "seed", "pretty"),
+        _simulate,
+    ),
+    "posterior": Command(
+        "exact posterior odds of an alternative source", ("seq", "alternative", "prior_odds", "pretty"), _posterior
+    ),
+    "reproduce-paper": Command("recompute the pinned worked examples", ("pretty",), _reproduce),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="randaudit",
+        description="Exact randomness-test verdicts and relabeling audits for binary sequences.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key, option in OPTIONS.items():
+            if key in command.options:
+                target = p.add_mutually_exclusive_group(required=True) if option.exclusive else p
+                for flag, keywords in option.flags:
+                    target.add_argument(flag, **keywords)
+    return parser
+
+
+def _run(args: argparse.Namespace) -> int:
+    command = COMMANDS[args.subcommand]
+    got: dict = {}
+    for key, option in OPTIONS.items():
+        if key in command.options:
+            got[key] = option.parse(args, got)
+    fields, lines = command.run(got)
+    inputs: dict = {}
+    for key, value in got.items():
+        if OPTIONS[key].echo is not None:
+            inputs.update(OPTIONS[key].echo(value))
+    report = {**build_report(args.subcommand, inputs, [], []), **fields}
+    if got["pretty"] or got.get("format") == "csv":  # csv is a text rendering and wins over --pretty
+        print("\n".join(lines))
+    else:
+        sys.stdout.write(to_json(report))
+    return 1 if "deviations" in report else 0
 
 
 def run_cli(argv: list[str]) -> int:
@@ -447,14 +351,11 @@ def run_cli(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.subcommand](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _run(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -267,21 +267,26 @@ def runs_pvalue(n: int, r: int, tail: str) -> Fraction:
     raise ValueError(f"unknown tail {tail!r}; expected 'lower' or 'upper'")
 
 
-def binomial_pvalue(n: int, k: int, convention: str = ONE_SIDED) -> Fraction:
-    """Exact tail probability of the count of first-symbol outcomes.
+def binomial_tail(n: int, k: int, convention: str = ONE_SIDED) -> tuple[str, Fraction]:
+    """Tail name and exact tail probability of the count of first-symbol outcomes.
 
-    Under ``paper-one-sided`` this is P(K >= k) when k >= n/2 and
-    P(K <= k) otherwise, for K binomial(n, 1/2).  Under
-    ``two-sided-doubled`` the one-sided value is doubled and clipped
-    at 1.
+    Under ``paper-one-sided`` this is ``upper``, P(K >= k), when k >= n/2
+    and ``lower``, P(K <= k), otherwise, for K binomial(n, 1/2).  Under
+    ``two-sided-doubled`` it is ``doubled``: the one-sided value doubled
+    and clipped at 1.
     """
     if not 0 <= k <= n:
         raise ValueError(f"count {k} out of range 0..{n}")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
     check_tail_length(n)
-    tail = binomial_count_between(n, k, n) if 2 * k >= n else binomial_count_between(n, 0, k)
-    p = Fraction(tail, 1 << n)
+    tail, lo, hi = ("upper", k, n) if 2 * k >= n else ("lower", 0, k)
+    p = Fraction(binomial_count_between(n, lo, hi), 1 << n)
     if convention == TWO_SIDED_DOUBLED:
-        p = min(Fraction(1), 2 * p)
-    return p
+        return "doubled", min(Fraction(1), 2 * p)
+    return tail, p
+
+
+def binomial_pvalue(n: int, k: int, convention: str = ONE_SIDED) -> Fraction:
+    """The p-value of :func:`binomial_tail`."""
+    return binomial_tail(n, k, convention)[1]

@@ -30,11 +30,10 @@ from typing import Callable, Iterator
 from .exact import (
     ENUMERATION_CAP,
     ONE_SIDED,
-    TWO_SIDED_DOUBLED,
     CapExceededError,
     as_probability,
     binomial_count_between,
-    binomial_pvalue,
+    binomial_tail,
     check_tail_length,
     runs_pvalue,
 )
@@ -83,13 +82,6 @@ def _runs_tail(n: int, r: int, convention: str) -> tuple[str, Fraction]:
     return tail, runs_pvalue(n, r, tail)
 
 
-def _binomial_tail(n: int, k: int, convention: str) -> tuple[str, Fraction]:
-    p = binomial_pvalue(n, k, convention)
-    if convention == TWO_SIDED_DOUBLED:
-        return "doubled", p
-    return ("upper" if 2 * k >= n else "lower"), p
-
-
 def _with_ones(width: int, k: int) -> Iterator[int]:
     """Every int below 2^width with exactly k bits set."""
     for chosen in combinations(range(width), k):
@@ -126,7 +118,7 @@ class Statistic:
 
 STATISTICS = {
     RUNS: Statistic(runs_of, 1, _runs_tail, _with_runs),
-    BINOMIAL: Statistic(lambda value, n: value.bit_count(), 0, _binomial_tail, _with_ones),
+    BINOMIAL: Statistic(lambda value, n: value.bit_count(), 0, binomial_tail, _with_ones),
 }
 
 

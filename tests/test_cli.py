@@ -323,6 +323,13 @@ class TestPosteriorRendering:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_nonpositive_prior_is_a_usage_error_before_rendering(self, capsys):
+        # The prior is judged before its echo is rendered, so a negative prior
+        # too long to render still exits 2.
+        code, out, err = invoke(capsys, "posterior", "--seq", "HT", "--model", "biased:p=3/5", "--prior-odds=-1e5000")
+        assert (code, out) == (2, "")
+        assert "positive" in err
+
 
 SEQ = ("--seq", "HTTHTHHHT")
 # Paper-scale argv of every subcommand that must run without numpy.
