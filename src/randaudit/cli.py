@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import report as report_mod
 from .audit import find_flipping_mask, pvalue_spectrum, verdict_under_relabeling
@@ -46,8 +45,7 @@ from .simulate import SourceModel, parse_model, posterior_odds, rejection_rate
 from .verdicts import TESTS, binomial_test, rejection_set, runs_test
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     """One option: its flags, its parse and its echo into ``inputs``."""
 
     flags: tuple[tuple[str, dict], ...]  # (flag, add_argument keywords)
@@ -269,8 +267,7 @@ def _reproduce(got: dict) -> tuple[dict, list[str]]:
     return report, lines
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     help: str
     options: tuple[str, ...]  # keys of OPTIONS
     run: Callable[[dict], tuple[dict, list[str]]]  # parsed options -> (report fields, pretty lines)
