@@ -111,6 +111,7 @@ OPTIONS = {
         default="fair",
         help="fair | biased:p=NUM/DEN | markov:stay=NUM/DEN",
     ),
+    # posterior's --model: the same flag, but required and without a default.
     "alternative": _flag(
         "--model", parse_model, SourceModel.spec_string, required=True, help="alternative source model"
     ),
