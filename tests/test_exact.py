@@ -1,13 +1,17 @@
 """Exact distributions: closed form against the enumeration oracle."""
 
+import random
+import sys
+import threading
 import time
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from randaudit import exact
 from randaudit import (
@@ -18,6 +22,7 @@ from randaudit import (
     TWO_SIDED_DOUBLED,
     as_probability,
     binomial_pvalue,
+    binomial_test,
     count_runs,
     decimal_string,
     enumerate_runs_distribution,
@@ -26,6 +31,7 @@ from randaudit import (
     runs_count_exact,
     runs_distribution,
     runs_pvalue,
+    runs_test,
     sequence_probability,
 )
 
@@ -221,6 +227,113 @@ class TestTailTable:
         text = exact_decimal_string(p)
         assert text.startswith("0.") and len(text) == 5002
         assert Fraction(Decimal(text)) == p
+
+
+@lru_cache(maxsize=None)
+def _comb_prefix_sums(m: int) -> tuple[int, ...]:
+    """S(j) = C(m, 0) + ... + C(m, j - 1) for j = 0..m + 1, straight from math.comb."""
+    sums = [0]
+    for j in range(m + 1):
+        sums.append(sums[-1] + comb(m, j))
+    return tuple(sums)
+
+
+def _cold_row(m: int):
+    exact._binomial_prefix_sums.cache_clear()
+    return exact._binomial_prefix_sums(m)
+
+
+def _filled_entries_are_prefix_sums(row) -> bool:
+    return all(s is None or s == t for s, t in zip(row.sums, _comb_prefix_sums(row.m), strict=True))
+
+
+class TestCentreOutRow:
+    """The cached row is filled from the centre outward, only as far as queries reach."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([0, 1, 2, 3, 4, 63, 64, 255, 256, 2047, 2048]), st.data())
+    def test_queries_match_comb_sums_from_any_start(self, m, data):
+        row = _cold_row(m)
+        start = data.draw(st.sampled_from(["cold", "warm", "partly filled"]))
+        if start == "warm":
+            exact.binomial_count_between(m, 0, 0)  # S(1) is the farthest entry from the centre
+        elif start == "partly filled":
+            k = data.draw(st.integers(0, m))
+            exact.binomial_count_between(m, k, k)
+        end = st.one_of(st.just(0), st.just(m), st.integers(0, m))
+        reference = _comb_prefix_sums(m)
+        for _ in range(data.draw(st.integers(1, 8))):
+            kind = data.draw(st.sampled_from(["range", "single", "lower", "upper"]))
+            a = data.draw(end)
+            if kind == "range":
+                lo, hi = sorted((a, data.draw(end)))
+            elif kind == "single":
+                lo, hi = a, a
+            elif kind == "lower":
+                lo, hi = 0, a
+            else:
+                lo, hi = a, m
+            assert exact.binomial_count_between(m, lo, hi) == reference[hi + 1] - reference[lo]
+            assert _filled_entries_are_prefix_sums(row)
+            assert row.sums[0] == 0 and row.sums[m + 1] == 2**m
+
+    def test_cost_follows_distance_from_the_centre(self):
+        n = 5000
+        seq = BinarySequence.from_int(random.Random(5000).getrandbits(n), n)
+        exact._binomial_prefix_sums.cache_clear()
+        runs_test(seq)
+        binomial_test(seq)
+        for m in (n - 1, n):
+            sums = exact._binomial_prefix_sums(m).sums
+            assert sums.count(None) >= 0.9 * len(sums)
+            # Each step between two filled entries is one binomial coefficient.
+            steps = [j for j in range(m + 1) if sums[j] is not None and sums[j + 1] is not None]
+            assert all(sums[j + 1] - sums[j] == comb(m, j) for j in steps)
+
+    def test_constant_sequence_fills_the_whole_row(self):
+        n = 5000
+        exact._binomial_prefix_sums.cache_clear()
+        assert runs_test(BinarySequence.from_int(0, n)).p == Fraction(2, 2**n)
+        assert binomial_test(BinarySequence.from_int(0, n)).p == Fraction(1, 2**n)
+        for m in (n - 1, n):
+            sums = exact._binomial_prefix_sums(m).sums
+            assert None not in sums
+            assert sums[:65] == [_comb_sum(m, 0, j - 1) for j in range(65)]
+
+    def test_concurrent_fills_of_one_cold_row(self):
+        m, rounds, workers = 2047, 12, 8
+        reference = _comb_prefix_sums(m)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(rounds):
+                row = _cold_row(m)
+                wrong = []
+                together = threading.Barrier(workers, timeout=60)
+
+                def ask(seed: int) -> None:
+                    rng = random.Random(seed)
+                    together.wait()
+                    for _ in range(60):
+                        lo = rng.randint(0, m)
+                        hi = rng.randint(lo, m)
+                        try:
+                            count = exact.binomial_count_between(m, lo, hi)
+                        except Exception as exc:  # a thread's exception would not reach the test
+                            count = exc
+                        if count != reference[hi + 1] - reference[lo]:
+                            wrong.append((lo, hi, count))
+
+                threads = [threading.Thread(target=ask, args=(workers * round_ + i,)) for i in range(workers)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert wrong == []
+                assert _filled_entries_are_prefix_sums(row)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestProbabilityHelpers:
