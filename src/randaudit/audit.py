@@ -28,10 +28,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import CapExceededError, ONE_SIDED, as_probability
+from .exact import CapExceededError, as_probability
 from .sequences import BinarySequence, RelabelMask, apply_relabeling
 from .verdicts import (
     DEFAULT_ALPHA,
+    ONE_SIDED,
     RUNS,
     TestVerdict,
     judge,
@@ -238,7 +239,7 @@ class NullInvarianceReport:
         return payload
 
 
-def check_null_invariance(n: int, cap: int = INVARIANCE_CAP) -> NullInvarianceReport:
+def check_null_invariance(n: int) -> NullInvarianceReport:
     """Verify every mask permutes {0,1}^n, so the uniform law is fixed.
 
     Each of the 2^n masks is applied to every sequence and the image is
@@ -247,8 +248,8 @@ def check_null_invariance(n: int, cap: int = INVARIANCE_CAP) -> NullInvarianceRe
     """
     if n < 1:
         raise ValueError("length must be at least 1")
-    if n > cap:
-        raise CapExceededError(f"invariance check over 2^{n} masks exceeds cap {cap}")
+    if n > INVARIANCE_CAP:
+        raise CapExceededError(f"invariance check over 2^{n} masks exceeds cap {INVARIANCE_CAP}")
     import numpy as np
 
     size = 1 << n

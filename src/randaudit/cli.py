@@ -24,16 +24,8 @@ from typing import Callable, NamedTuple
 
 from . import report as report_mod
 from .audit import find_flipping_mask, pvalue_spectrum, verdict_under_relabeling
-from .exact import (
-    CONVENTIONS,
-    CapExceededError,
-    ONE_SIDED,
-    TWO_SIDED_DOUBLED,
-    enumerate_runs_distribution,
-    parse_probability,
-    runs_distribution,
-)
-from .report import build_report, prob_dict, to_json
+from .exact import CapExceededError, enumerate_runs_distribution, parse_probability, prob_dict
+from .report import build_report, to_json
 from .sequences import (
     ParseError,
     RelabelMask,
@@ -42,7 +34,16 @@ from .sequences import (
     parse_sequence,
 )
 from .simulate import SourceModel, parse_model, posterior_odds, rejection_rate
-from .verdicts import TESTS, binomial_test, rejection_set, runs_test
+from .verdicts import (
+    CONVENTIONS,
+    ONE_SIDED,
+    TESTS,
+    TWO_SIDED_DOUBLED,
+    binomial_test,
+    rejection_set,
+    runs_distribution,
+    runs_test,
+)
 
 
 class Option(NamedTuple):

@@ -1,19 +1,16 @@
-"""Exact null distributions of the run-count and head-count statistics.
+"""Exact binomial prefix sums, exact probabilities and their renderings.
 
 Under the null model (two equiprobable symbols, independent trials)
 every length-n sequence has probability 2^-n, so every tail probability
 is a dyadic rational.  All computations here use exact integer and
-Fraction arithmetic; decimals exist only as renderings.
+Fraction arithmetic; decimals exist only as renderings.  The null laws
+themselves, and every count and tail read from them, live in
+:mod:`randaudit.verdicts`.
 
-Every count and tail goes through one count kernel,
-:func:`binomial_count_between`, a lookup in one cached table: the prefix
-sums S(j) = C(m, 0) + ... + C(m, j - 1) of row m of Pascal's triangle.
-The head count K of a length-n sequence is Binomial(n, 1/2), so it reads
-row m = n.  The run count R has 2*C(n-1, r-1) sequences with exactly r
-runs (choose which of the n-1 adjacent pairs are breaks, times 2 for the
-first symbol), so R - 1 is Binomial(n-1, 1/2) and it reads row m = n - 1.
-A verdict-level call reads both rows, so the two most recently used
-tables are kept.
+Every count is a lookup in one cached table, read by
+:func:`binomial_count_between`: the prefix sums S(j) = C(m, 0) + ... +
+C(m, j - 1) of row m of Pascal's triangle.  A verdict-level call reads
+two rows, so the two most recently used tables are kept.
 
 A row starts at its centre, where S(m//2 + 1) is 2^(m-1) for odd m and
 (2^m + C(m, m/2)) / 2 for even m, and is filled outward only as far as a
@@ -27,7 +24,7 @@ steps: 1.6 ms at m = 2047 and 7.4 ms at m = 5000, where a full row holds
 tails refuse lengths above TAIL_LENGTH_LIMIT = 5000 with
 CapExceededError, before anything is allocated.
 
-The enumeration route tallies the statistic over all 2^n sequences and
+The enumeration route tallies the run count over all 2^n sequences and
 is the oracle the table is validated against in the tests.  It is the
 only code here that uses numpy, and it imports numpy itself, so the
 table route never loads it.
@@ -44,18 +41,13 @@ from math import comb
 # Exact probabilities are plain Fractions; the alias marks intent.
 ExactProb = Fraction
 
-# Tail conventions for the head-count test.
-ONE_SIDED = "paper-one-sided"
-TWO_SIDED_DOUBLED = "two-sided-doubled"
-CONVENTIONS = (ONE_SIDED, TWO_SIDED_DOUBLED)
-
-# Full enumeration of {0,1}^n is refused above this length.
+# Full enumeration of {0,1}^n is refused above this length.  It must stay
+# at or below 32: the kernel packs each sequence in a uint32.
 ENUMERATION_CAP = 24
 
 # Enumeration works through 2^16 sequences at a time, so its arrays stay
 # near 256 KiB each and a process's peak memory does not grow with n.
 _CHUNK = 1 << 16
-_KERNEL_BITS = 32  # enumeration packs each sequence in a uint32
 
 # Exact tails are refused above this length.  Two full cached rows then
 # take 6 MB, and 2^n has 1,506 decimal digits, within Python's 4,300-digit
@@ -106,6 +98,11 @@ def decimal_string(p: Fraction, places: int = 3) -> str:
     if places == 0:
         return str(q)
     return f"{q // scale}.{q % scale:0{places}d}"
+
+
+def prob_dict(p: Fraction) -> dict:
+    """An exact probability as its numerator, denominator and 3-place decimal."""
+    return {"num": p.numerator, "den": p.denominator, "decimal": decimal_string(p)}
 
 
 def exact_decimal_string(p: Fraction) -> str:
@@ -195,9 +192,10 @@ def _binomial_prefix_sums(m: int) -> _PrefixRow:
 
 
 def binomial_count_between(m: int, lo: int, hi: int) -> int:
-    """C(m, lo) + ... + C(m, hi), from row m of the cached table; m is at most TAIL_LENGTH_LIMIT."""
-    if m > TAIL_LENGTH_LIMIT:
-        raise CapExceededError(f"binomial row {m} exceeds the limit {TAIL_LENGTH_LIMIT}")
+    """C(m, lo) + ... + C(m, hi), from row m of the cached table.
+
+    Its one caller in the package refuses m beyond TAIL_LENGTH_LIMIT first.
+    """
     if not 0 <= lo <= hi <= m:
         raise ValueError(f"count range {lo}..{hi} outside 0..{m}")
     row = _binomial_prefix_sums(m)
@@ -210,18 +208,6 @@ def binomial_count_between(m: int, lo: int, hi: int) -> int:
         if sums[hi + 1] is None:
             row.fill(hi + 1)
         return sums[hi + 1] - sums[lo]
-
-
-def runs_count_exact(n: int, r: int) -> int:
-    """Number of length-n binary sequences with exactly r runs.
-
-    2*C(n-1, r-1), read from the table; the enumeration oracle below
-    certifies it.
-    """
-    if not 1 <= r <= n:
-        raise ValueError(f"run count {r} out of range 1..{n}")
-    check_tail_length(n)
-    return 2 * binomial_count_between(n - 1, r - 1, r - 1)
 
 
 @dataclass(frozen=True)
@@ -270,26 +256,17 @@ class RunsDistribution:
         return {"n": self.n, "total": self.total, "rows": rows}
 
 
-def runs_distribution(n: int) -> RunsDistribution:
-    """Run-count distribution from the table, for n up to TAIL_LENGTH_LIMIT."""
-    check_tail_length(n)
-    return RunsDistribution(n, tuple(2 * binomial_count_between(n - 1, j, j) for j in range(n)))
-
-
-def enumerate_runs_distribution(n: int, cap: int = ENUMERATION_CAP) -> RunsDistribution:
+def enumerate_runs_distribution(n: int) -> RunsDistribution:
     """Run-count distribution by tallying the statistic over all 2^n sequences.
 
     This is the oracle route: independent of the table above.  The
     run count of a packed sequence x is one more than the number of set
-    bits in ``x ^ (x >> 1)`` restricted to the n-1 adjacent pairs.  The
-    kernel packs sequences in uint32, so n above 32 is refused whatever
-    the cap.
+    bits in ``x ^ (x >> 1)`` restricted to the n-1 adjacent pairs.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
-    limit = min(cap, _KERNEL_BITS)
-    if n > limit:
-        raise CapExceededError(f"enumeration over 2^{n} sequences exceeds cap {limit}")
+    if n > ENUMERATION_CAP:
+        raise CapExceededError(f"enumeration over 2^{n} sequences exceeds cap {ENUMERATION_CAP}")
     import numpy as np
 
     counts = np.zeros(n + 1, dtype=np.int64)
@@ -299,44 +276,3 @@ def enumerate_runs_distribution(n: int, cap: int = ENUMERATION_CAP) -> RunsDistr
         r = np.bitwise_count((x ^ (x >> np.uint32(1))) & np.uint32(pair_mask)) + 1
         counts += np.bincount(r, minlength=n + 1)
     return RunsDistribution(n, tuple(int(c) for c in counts[1:]))
-
-
-def runs_pvalue(n: int, r: int, tail: str) -> Fraction:
-    """Exact tail probability of the run count under the uniform null.
-
-    ``lower`` gives P(R <= r), ``upper`` gives P(R >= r); both are one
-    table lookup.
-    """
-    if not 1 <= r <= n:
-        raise ValueError(f"run count {r} out of range 1..{n}")
-    check_tail_length(n)
-    if tail == "lower":
-        return Fraction(2 * binomial_count_between(n - 1, 0, r - 1), 1 << n)
-    if tail == "upper":
-        return Fraction(2 * binomial_count_between(n - 1, r - 1, n - 1), 1 << n)
-    raise ValueError(f"unknown tail {tail!r}; expected 'lower' or 'upper'")
-
-
-def binomial_tail(n: int, k: int, convention: str = ONE_SIDED) -> tuple[str, Fraction]:
-    """Tail name and exact tail probability of the count of first-symbol outcomes.
-
-    Under ``paper-one-sided`` this is ``upper``, P(K >= k), when k >= n/2
-    and ``lower``, P(K <= k), otherwise, for K binomial(n, 1/2).  Under
-    ``two-sided-doubled`` it is ``doubled``: the one-sided value doubled
-    and clipped at 1.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"count {k} out of range 0..{n}")
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    check_tail_length(n)
-    tail, lo, hi = ("upper", k, n) if 2 * k >= n else ("lower", 0, k)
-    p = Fraction(binomial_count_between(n, lo, hi), 1 << n)
-    if convention == TWO_SIDED_DOUBLED:
-        return "doubled", min(Fraction(1), 2 * p)
-    return tail, p
-
-
-def binomial_pvalue(n: int, k: int, convention: str = ONE_SIDED) -> Fraction:
-    """The p-value of :func:`binomial_tail`."""
-    return binomial_tail(n, k, convention)[1]

@@ -18,15 +18,11 @@ import json
 from fractions import Fraction
 
 from .audit import AuditResult, verdict_under_relabeling
-from .exact import ONE_SIDED, TWO_SIDED_DOUBLED, decimal_string
+from .exact import decimal_string, prob_dict
 from .sequences import mask_from_index_set, parse_sequence
-from .verdicts import BINOMIAL, RUNS, TestVerdict, binomial_test, runs_test
+from .verdicts import BINOMIAL, ONE_SIDED, RUNS, TWO_SIDED_DOUBLED, TestVerdict, binomial_test, runs_test
 
 SCHEMA_VERSION = "1"
-
-
-def prob_dict(p: Fraction, places: int = 3) -> dict:
-    return {"num": p.numerator, "den": p.denominator, "decimal": decimal_string(p, places)}
 
 
 def build_report(command: str, inputs: dict, results: list, notes: list[str]) -> dict:

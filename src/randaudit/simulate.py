@@ -40,9 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-from .exact import ONE_SIDED, CapExceededError, as_probability, check_tail_length
+from .exact import CapExceededError, as_probability, check_tail_length, prob_dict
 from .sequences import BinarySequence, count_ones, count_runs, pack
-from .verdicts import DEFAULT_ALPHA, RUNS, rejection_set, statistic
+from .verdicts import DEFAULT_ALPHA, ONE_SIDED, RUNS, rejection_set, statistic
 
 FAIR = "fair"
 BIASED = "biased"
@@ -232,8 +232,6 @@ class RejectionRateEstimate:
         return sqrt(r * (1.0 - r) / self.trials)
 
     def as_dict(self) -> dict:
-        from .report import prob_dict
-
         return {
             "model": self.model.spec_string(),
             "test": self.test,

@@ -1,12 +1,15 @@
-"""Reject/not-reject verdicts for the runs and head-count tests.
+"""The two tests' null laws, and reject/not-reject verdicts from them.
 
 Both tests sit behind one table, ``STATISTICS``, keyed by test name and
 read through :func:`statistic`, the one place an unknown name is refused.
 An entry holds the statistic of a packed sequence ``(value, n)``, its
 tail rule and its offset ``low``: under the null, statistic - low is
-Binomial(n - low, 1/2) (R - 1 for the run count R, the head count itself),
-so 2^low * C(n - low, v - low) sequences attain each value v in low..n.
-The entry also generates those sequences, for explicit rejection sets.
+Binomial(n - low, 1/2) (R - 1 for the run count R, the head count itself;
+Mood 1940), so 2^low * C(n - low, v - low) sequences attain each value v
+in low..n.  Every count, tail and distribution below is read from that
+law by one private function, which refuses a length beyond
+TAIL_LENGTH_LIMIT before any table is built.  The entry also generates
+the sequences attaining a value, for explicit rejection sets.
 
 A verdict pairs an observed statistic with its exact tail probability
 and a significance threshold.  The threshold is always an exact
@@ -29,13 +32,12 @@ from typing import Callable, Iterator
 
 from .exact import (
     ENUMERATION_CAP,
-    ONE_SIDED,
     CapExceededError,
+    RunsDistribution,
     as_probability,
     binomial_count_between,
-    binomial_tail,
     check_tail_length,
-    runs_pvalue,
+    prob_dict,
 )
 from .sequences import BinarySequence, runs_of
 
@@ -43,12 +45,19 @@ RUNS = "runs"
 BINOMIAL = "binomial"
 TESTS = (RUNS, BINOMIAL)
 
+# Tail conventions for the head-count test.
+ONE_SIDED = "paper-one-sided"
+TWO_SIDED_DOUBLED = "two-sided-doubled"
+CONVENTIONS = (ONE_SIDED, TWO_SIDED_DOUBLED)
+
 DEFAULT_ALPHA = Fraction(1, 20)
 
 # An explicit rejection set lists at most this many sequences.  The count
 # is the exact size's numerator, known before any sequence is built.
 # Listing all 2^22 sequences of n = 22 (runs, alpha = 1/2) took 30 s and
-# 2.2 GB.
+# 2.2 GB.  A listing also holds at most LISTING_LIMIT * ENUMERATION_CAP
+# symbols, 2^16 sequences of length 24: 20,000 of length 5000 took 8.8 s
+# and 418 MB to list and render.
 LISTING_LIMIT = 1 << 16
 
 
@@ -63,8 +72,6 @@ class TestVerdict:
     vocab: str
 
     def as_dict(self) -> dict:
-        from .report import prob_dict
-
         return {
             "test": self.test,
             "statistic": self.statistic,
@@ -76,10 +83,71 @@ class TestVerdict:
         }
 
 
+def _count(stat: Statistic, n: int, lo: int, hi: int) -> int:
+    """Number of length-n sequences whose statistic lies in lo..hi, read from the null law."""
+    check_tail_length(n)
+    low = stat.low
+    if not low <= lo <= hi <= n:
+        raise ValueError(f"statistic range {lo}..{hi} outside {low}..{n}")
+    return binomial_count_between(n - low, lo - low, hi - low) << low
+
+
+def _tail(stat: Statistic, n: int, value: int, tail: str) -> Fraction:
+    """P(statistic <= value) for ``lower``, P(statistic >= value) for ``upper``."""
+    if tail == "lower":
+        return Fraction(_count(stat, n, stat.low, value), 1 << n)
+    if tail == "upper":
+        return Fraction(_count(stat, n, value, n), 1 << n)
+    raise ValueError(f"unknown tail {tail!r}; expected 'lower' or 'upper'")
+
+
+def _check_convention(convention: str) -> None:
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
+
+
+def runs_pvalue(n: int, r: int, tail: str) -> Fraction:
+    """Exact tail probability of the run count: P(R <= r) for ``lower``, P(R >= r) for ``upper``."""
+    return _tail(STATISTICS[RUNS], n, r, tail)
+
+
+def runs_count_exact(n: int, r: int) -> int:
+    """Number of length-n binary sequences with exactly r runs, 2*C(n-1, r-1)."""
+    return _count(STATISTICS[RUNS], n, r, r)
+
+
+def runs_distribution(n: int) -> RunsDistribution:
+    """Run-count distribution from the table, for n up to TAIL_LENGTH_LIMIT."""
+    check_tail_length(n)
+    return RunsDistribution(n, tuple(runs_count_exact(n, r) for r in range(1, n + 1)))
+
+
 def _runs_tail(n: int, r: int, convention: str) -> tuple[str, Fraction]:
-    """Tail and p-value for an observed run count; ``convention`` is unused."""
+    """Tail and p-value for an observed run count; every convention gives the same."""
+    _check_convention(convention)
     tail = "upper" if 2 * r > n + 1 else "lower"
     return tail, runs_pvalue(n, r, tail)
+
+
+def binomial_tail(n: int, k: int, convention: str = ONE_SIDED) -> tuple[str, Fraction]:
+    """Tail name and exact tail probability of the count of first-symbol outcomes.
+
+    Under ``paper-one-sided`` this is ``upper``, P(K >= k), when k >= n/2
+    and ``lower``, P(K <= k), otherwise, for K binomial(n, 1/2).  Under
+    ``two-sided-doubled`` it is ``doubled``: the one-sided value doubled
+    and clipped at 1.
+    """
+    _check_convention(convention)
+    tail = "upper" if 2 * k >= n else "lower"
+    p = _tail(STATISTICS[BINOMIAL], n, k, tail)
+    if convention == TWO_SIDED_DOUBLED:
+        return "doubled", min(Fraction(1), 2 * p)
+    return tail, p
+
+
+def binomial_pvalue(n: int, k: int, convention: str = ONE_SIDED) -> Fraction:
+    """The p-value of :func:`binomial_tail`."""
+    return binomial_tail(n, k, convention)[1]
 
 
 def _with_ones(width: int, k: int) -> Iterator[int]:
@@ -173,9 +241,7 @@ def statistic_pvalue(test: str, n: int, value: int, convention: str = ONE_SIDED)
 
 def statistic_count(test: str, n: int, value: int) -> int:
     """Number of length-n sequences whose statistic equals ``value``, by table lookup."""
-    low = statistic(test).low
-    check_tail_length(n)
-    return binomial_count_between(n - low, value - low, value - low) << low
+    return _count(statistic(test), n, value, value)
 
 
 @dataclass(frozen=True)
@@ -191,8 +257,6 @@ class RejectionSet:
     sequences: tuple[BinarySequence, ...] | None = None
 
     def as_dict(self) -> dict:
-        from .report import prob_dict
-
         payload = {
             "test": self.test,
             "n": self.n,
@@ -213,29 +277,30 @@ def rejection_set(
     alpha: Fraction = DEFAULT_ALPHA,
     convention: str = ONE_SIDED,
     include_sequences: bool = False,
-    cap: int = ENUMERATION_CAP,
 ) -> RejectionSet:
     """All statistic values whose verdict at ``alpha`` is a rejection.
 
     The exact size is the null probability of attaining any rejected
     value.  With ``include_sequences`` the sequences themselves are
-    listed in packed order, which requires n within the enumeration cap
-    and at most LISTING_LIMIT of them; they are built from the rejected
-    statistic values, so the work is proportional to the listing, not
-    to 2^n.
+    listed in packed order, at most LISTING_LIMIT of them and at most
+    LISTING_LIMIT * ENUMERATION_CAP symbols; they are built from the
+    rejected statistic values, so the work is proportional to the
+    listing, not to 2^n.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
     alpha = as_probability(alpha)
     stat = statistic(test)
     values = tuple(v for v in range(stat.low, n + 1) if stat.tail(n, v, convention)[1] <= alpha)
-    mass = sum(statistic_count(test, n, v) for v in values)
+    mass = sum(_count(stat, n, v, v) for v in values)
     sequences = None
     if include_sequences:
-        if n > cap:
-            raise CapExceededError(f"explicit listing over 2^{n} sequences exceeds cap {cap}")
         if mass > LISTING_LIMIT:
             raise CapExceededError(f"explicit listing of {mass} sequences exceeds the limit {LISTING_LIMIT}")
+        if mass * n > LISTING_LIMIT * ENUMERATION_CAP:
+            raise CapExceededError(
+                f"explicit listing of {mass * n} symbols exceeds the limit {LISTING_LIMIT * ENUMERATION_CAP}"
+            )
         listed = sorted(x for v in values for x in stat.attaining(n, v))
         sequences = tuple(BinarySequence.from_int(x, n) for x in listed)
     return RejectionSet(

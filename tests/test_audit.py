@@ -291,8 +291,6 @@ class TestNullInvariance:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             check_null_invariance(13)
-        with pytest.raises(CapExceededError):
-            check_null_invariance(5, cap=4)
 
     def test_as_dict(self):
         payload = check_null_invariance(3).as_dict()

@@ -17,6 +17,7 @@ from randaudit import exact
 from randaudit import (
     BinarySequence,
     CapExceededError,
+    ENUMERATION_CAP,
     ONE_SIDED,
     TAIL_LENGTH_LIMIT,
     TWO_SIDED_DOUBLED,
@@ -74,13 +75,13 @@ class TestRunsCounts:
 
     def test_enumeration_cap(self):
         with pytest.raises(CapExceededError):
-            enumerate_runs_distribution(6, cap=5)
+            enumerate_runs_distribution(ENUMERATION_CAP + 1)
 
     def test_enumeration_refuses_lengths_beyond_uint32(self):
-        # The kernel packs sequences in uint32; a raised cap must not let
-        # it scan 2^32 masks before overflowing.
+        # The kernel packs sequences in uint32; a length past 32 must be
+        # refused before it scans 2^32 masks and overflows.
         with pytest.raises(CapExceededError):
-            enumerate_runs_distribution(33, cap=40)
+            enumerate_runs_distribution(33)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 33, 60])
     def test_normalization_closed_form(self, n):

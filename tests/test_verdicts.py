@@ -1,11 +1,13 @@
 """Verdict semantics, tail selection, and rejection sets."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
+from randaudit import verdicts
 from randaudit import (
     BINOMIAL,
     BinarySequence,
@@ -15,6 +17,7 @@ from randaudit import (
     RUNS,
     TWO_SIDED_DOUBLED,
     binomial_test,
+    count_runs,
     parse_sequence,
     rejection_set,
     runs_test,
@@ -117,9 +120,24 @@ class TestRejectionSets:
         assert rejection_set(RUNS, 9, Fraction(1)).statistic_values == tuple(range(1, 10))
         assert rejection_set(RUNS, 9, Fraction(1)).exact_size == 1
 
-    def test_explicit_cap(self):
-        with pytest.raises(CapExceededError):
-            rejection_set(RUNS, 9, ALPHA, include_sequences=True, cap=8)
+    def test_explicit_listing_past_the_enumeration_cap(self):
+        # Rejected run counts {1, 2, 29, 30}: 2 + 58 + 58 + 2 sequences.
+        listed = rejection_set(RUNS, 30, Fraction(1, 10_000_000), include_sequences=True)
+        assert listed.statistic_values == (1, 2, 29, 30)
+        assert len(listed.sequences) == 120
+        assert sorted(count_runs(s) for s in listed.sequences) == [1] * 2 + [2] * 58 + [29] * 58 + [30] * 2
+
+    def test_explicit_listing_symbol_limit(self, monkeypatch):
+        # Values {1, 2, 999, 1000} hold 4,000 sequences, within LISTING_LIMIT,
+        # but 4,000,000 symbols: refused before any sequence is built.
+        def unbuilt(n, r):
+            raise AssertionError("a sequence was built")
+
+        monkeypatch.setitem(verdicts.STATISTICS, RUNS, replace(verdicts.STATISTICS[RUNS], attaining=unbuilt))
+        alpha = Fraction(1, 2**985)
+        assert rejection_set(RUNS, 1000, alpha).statistic_values == (1, 2, 999, 1000)
+        with pytest.raises(CapExceededError, match="symbols"):
+            rejection_set(RUNS, 1000, alpha, include_sequences=True)
 
     def test_explicit_listing_limit(self):
         assert LISTING_LIMIT == 1 << 16
@@ -241,3 +259,54 @@ class TestStatisticTable:
         for call in calls:
             with pytest.raises(ValueError, match="unknown test 'chi2'"):
                 call()
+
+    def test_unknown_convention_is_refused_everywhere(self):
+        from randaudit import (
+            SourceModel,
+            find_flipping_mask,
+            mask_from_index_set,
+            pvalue_spectrum,
+            rejection_rate,
+            verdict_under_relabeling,
+        )
+
+        seq = parse_sequence("HTTH")
+        calls = [
+            lambda: statistic_pvalue(RUNS, 4, 1, "bogus"),
+            lambda: rejection_set(RUNS, 9, ALPHA, "bogus"),
+            lambda: verdict_under_relabeling(seq, mask_from_index_set({1}, 4), RUNS, ALPHA, "bogus"),
+            lambda: find_flipping_mask(seq, RUNS, ALPHA, "bogus"),
+            lambda: pvalue_spectrum(seq, RUNS, "bogus"),
+            lambda: rejection_rate(SourceModel.fair(), RUNS, 4, ALPHA, "bogus", trials=1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="unknown convention 'bogus'"):
+                call()
+
+
+PUBLIC_NAMES = """
+AuditResult BINOMIAL BLOCK_TRIALS BinarySequence CONVENTIONS CapExceededError
+DEFAULT_ALPHA ENUMERATION_CAP ExactProb FlipSearchResult INVARIANCE_CAP
+LISTING_LIMIT NullInvarianceReport ONE_SIDED ParseError RUNS
+RejectionRateEstimate RejectionSet RelabelMask RunsDistribution
+SIMULATION_WORK_LIMIT SourceModel TAIL_LENGTH_LIMIT TWO_SIDED_DOUBLED
+TestVerdict apply_relabeling as_probability binomial_pvalue binomial_test
+check_null_invariance count_ones count_runs decimal_string
+enumerate_runs_distribution exact_decimal_string find_flipping_mask
+likelihood mask_between mask_from_index_set parse_model parse_probability
+parse_sequence posterior_odds pvalue_spectrum rejection_rate rejection_set
+runs_count_exact runs_distribution runs_pvalue runs_test sample_sequence
+sequence_probability statistic_count statistic_domain statistic_pvalue
+verdict_under_relabeling
+""".split()
+
+
+def test_public_surface_is_pinned():
+    import randaudit
+    import randaudit.report
+
+    assert sorted(randaudit.__all__) == sorted(PUBLIC_NAMES)
+    assert all(hasattr(randaudit, name) for name in PUBLIC_NAMES)
+    # The benchmark patches the first and renders spectra with the second.
+    assert callable(randaudit.verdicts.runs_pvalue)
+    assert callable(randaudit.report.prob_dict)
