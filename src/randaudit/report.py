@@ -10,12 +10,22 @@ two length-9 outputs judged by both tests, their relabelings under the
 index sets X = {1,4,9} and Y = {2,3,5,9}, and the resulting verdict
 reversals, and compares every value against pinned expectations.  Any
 deviation is reported and turns the run into a failure.
+
+``to_json`` returns, byte for byte, the text of
+``json.dumps(report, indent=2, ensure_ascii=False) + "\n"`` for the
+values reports hold: dicts with str keys, lists and tuples (rendered as
+lists), str, int, float (json's rule, ``NaN`` and ``Infinity``
+included), bool and None.  Any other value, and unlike json any non-str
+key, raises TypeError.  json runs its pure-Python encoder whenever
+``indent`` is set; this renderer spends its time in json's C string
+encoder, ``int.__repr__`` and ``str.join``.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring
+from math import inf
 
 from .audit import AuditResult, verdict_under_relabeling
 from .exact import decimal_string, prob_dict
@@ -36,7 +46,54 @@ def build_report(command: str, inputs: dict, results: list, notes: list[str]) ->
 
 
 def to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    """The report as indented JSON text, ending in a newline."""
+    return _render(report, "\n") + "\n"
+
+
+def _render(value, newline: str) -> str:
+    """``value`` as json renders it at ``indent=2``; ``newline`` is the line break plus the current indent.
+
+    Types are tested with ``is``, so a bool never renders as an int.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{encode_basestring(key)}: {_render(item, inner)}")
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_render(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == inf:
+            return "Infinity"
+        if value == -inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress
 from operator import index
 from typing import Iterable, Sequence
 
@@ -32,6 +33,9 @@ _NOT_SYMBOL = re.compile("[^HhTt01]")
 _NOT_FLIP = re.compile("[^01]")
 _UPPER = str.maketrans("10", "HT")
 _LOWER = str.maketrans("10", "ht")
+# Selector bytes for itertools.compress over a mask's 0/1 digits.
+_FLIPPED = bytes.maketrans(b"01", b"\x00\x01")
+_KEPT = bytes.maketrans(b"01", b"\x01\x00")
 
 
 class ParseError(ValueError):
@@ -153,7 +157,7 @@ class RelabelMask:
 
     @property
     def flips(self) -> tuple[bool, ...]:
-        return tuple(c == "1" for c in _digits(self.value, self.n))
+        return tuple(map("1".__eq__, _digits(self.value, self.n)))
 
     def __len__(self) -> int:
         return self.n
@@ -189,13 +193,18 @@ class RelabelMask:
     def is_identity(self) -> bool:
         return self.value == 0
 
+    def _positions(self, table: bytes) -> tuple[int, ...]:
+        """The 1-based positions whose digit ``table`` maps to a nonzero selector."""
+        selectors = _digits(self.value, self.n).encode().translate(table)
+        return tuple(compress(range(1, self.n + 1), selectors))
+
     def flipped_positions(self) -> tuple[int, ...]:
         """1-based positions whose reading is inverted."""
-        return tuple(i for i, f in enumerate(self.flips, start=1) if f)
+        return self._positions(_FLIPPED)
 
     def index_set(self) -> tuple[int, ...]:
         """The kept positions: the 1-based index set X this mask encodes."""
-        return tuple(i for i, f in enumerate(self.flips, start=1) if not f)
+        return self._positions(_KEPT)
 
     def compose(self, other: "RelabelMask") -> "RelabelMask":
         """Apply ``other`` after ``self``; flips combine by exclusive-or."""

@@ -337,6 +337,39 @@ class TestCentreOutRow:
             sys.setswitchinterval(interval)
 
 
+@pytest.fixture
+def comb_calls(monkeypatch):
+    """The lengths ``exact`` passes to math.comb while the test runs."""
+    calls = []
+    monkeypatch.setattr(exact, "comb", lambda m, k: calls.append(m) or comb(m, k))
+    return calls
+
+
+class TestCentralBinomial:
+    """A row one step from the last one built derives C(m, m // 2) without math.comb."""
+
+    @pytest.mark.parametrize("lengths", [range(301), range(300, -1, -1)], ids=["upward", "downward"])
+    def test_walks_call_comb_at_most_once(self, lengths, comb_calls):
+        for m in lengths:
+            assert exact._central_binomial(m) == comb(m, m // 2), m
+        assert len(comb_calls) <= 1
+
+    def test_jumps_and_steps(self, comb_calls):
+        rng = random.Random(300)
+        m = rng.randint(0, 300)
+        for _ in range(3000):
+            m = min(300, max(0, m + rng.choice([-1, 1, 0, rng.randint(-300, 300)])))
+            assert exact._central_binomial(m) == comb(m, m // 2), m
+
+    def test_one_comb_per_verdict_pair(self, monkeypatch, comb_calls):
+        seq = BinarySequence.from_int(random.Random(2047).getrandbits(2048), 2048)
+        exact._binomial_prefix_sums.cache_clear()
+        monkeypatch.setattr(exact, "_last_centre", (0, 1))
+        runs_test(seq)  # row 2047
+        binomial_test(seq)  # row 2048, its centre derived from row 2047's
+        assert comb_calls == [2047]
+
+
 class TestProbabilityHelpers:
     def test_sequence_probability(self):
         assert sequence_probability(9) == Fraction(1, 512)
@@ -356,6 +389,15 @@ class TestProbabilityHelpers:
         with pytest.raises(ValueError):
             parse_probability("1/0")
 
+    def test_parse_dyadic_probability(self):
+        assert parse_probability("1/2^985") == Fraction(1, 2**985)
+        assert parse_probability(" 3/2^2 ") == Fraction(3, 4)
+        assert parse_probability("1/2^0") == 1
+        assert parse_probability(f"1/2^{TAIL_LENGTH_LIMIT}") == Fraction(1, 2**TAIL_LENGTH_LIMIT)
+        for text in (f"1/2^{TAIL_LENGTH_LIMIT + 1}", "1/2^" + "9" * 5000, "3/2^1", "1/2^-1", "-1/2^3", "1/3^2"):
+            with pytest.raises(ValueError, match="probability"):
+                parse_probability(text)
+
     def test_as_probability_bounds(self):
         with pytest.raises(ValueError):
             as_probability(Fraction(-1, 2))
@@ -369,6 +411,25 @@ class TestProbabilityHelpers:
         assert decimal_string(Fraction(1, 512)) == "0.002"
         assert decimal_string(Fraction(1), places=0) == "1"
         assert decimal_string(Fraction(1, 16), places=3) == "0.062"  # exact tie, to even
+
+    def test_decimal_rendering_matches_the_fraction_rule(self):
+        ties = 0
+        for d in range(1, 200):
+            for k in range(d + 1):
+                p = Fraction(k, d)
+                for places in (0, 1, 2, 3, 12):
+                    scale = 10**places
+                    q = round(p * scale)  # Fraction.__round__: exact, ties to even
+                    expected = str(q) if places == 0 else f"{q // scale}.{q % scale:0{places}d}"
+                    assert decimal_string(p, places) == expected, (p, places)
+                    ties += (p * scale).denominator == 2
+        assert ties > 100
+
+    def test_decimal_rendering_refusals(self):
+        with pytest.raises(ValueError, match="places"):
+            decimal_string(Fraction(1, 2), places=-1)
+        with pytest.raises(ValueError, match="negative"):
+            decimal_string(Fraction(-1, 2))
 
     def test_exact_decimal(self):
         assert exact_decimal_string(Fraction(1, 512)) == "0.001953125"

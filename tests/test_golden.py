@@ -74,6 +74,8 @@ CASES = {
     "error-posterior-unrenderable": ["posterior", "--seq", "HTTH", "--model", "biased:p=3/5", "--prior-odds", "1e5000"],
     "error-mask-length": ["relabel", "--seq", "HTT", "--mask", "0101"],
     "error-oracle-cap": ["distribution", "--n", "25", "--oracle"],
+    "rejection-set-dyadic-alpha": ["rejection-set", "--test", "runs", "--n", "1000", "--alpha", "1/2^985"],
+    "error-alpha-power-cap": ["rejection-set", "--test", "runs", "--n", "1000", "--alpha", "1/2^5001"],
 }
 
 

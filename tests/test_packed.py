@@ -15,6 +15,7 @@ from randaudit import (
     count_ones,
     count_runs,
     likelihood,
+    mask_from_index_set,
     parse_sequence,
 )
 
@@ -64,6 +65,33 @@ def test_mask_matches_tuple_tally(n):
         bits = seq_bits[i]
         relabeled = apply_relabeling(BinarySequence(bits), mask)
         assert relabeled.bits == tuple(b ^ f for b, f in zip(bits, flips))
+
+
+def generator_positions(mask: RelabelMask) -> tuple[tuple[bool, ...], tuple[int, ...], tuple[int, ...]]:
+    """flips, flipped positions and index set, one digit at a time."""
+    flips = tuple(c == "1" for c in format(mask.value, f"0{mask.n}b")[::-1])
+    flipped = tuple(i for i, f in enumerate(flips, start=1) if f)
+    kept = tuple(i for i, f in enumerate(flips, start=1) if not f)
+    return flips, flipped, kept
+
+
+@pytest.mark.parametrize(
+    "masks",
+    [
+        [RelabelMask.from_int(v, n) for n in range(1, 11) for v in range(1 << n)],
+        [RelabelMask.from_int(random.Random(n + i).getrandbits(n), n) for n in (1000, 5000) for i in range(20)],
+        [RelabelMask.from_int(v, n) for n in (1000, 5000) for v in (0, (1 << n) - 1, 1, 1 << (n - 1))],
+    ],
+    ids=["every mask to n=10", "random n=1000,5000", "ends n=1000,5000"],
+)
+def test_positions_match_generator_expressions(masks):
+    for mask in masks:
+        flips, flipped, kept = generator_positions(mask)
+        assert mask.flips == flips
+        assert all(type(f) is bool for f in mask.flips)
+        assert mask.flipped_positions() == flipped
+        assert mask.index_set() == kept
+        assert mask_from_index_set(kept, mask.n) == mask
 
 
 @pytest.mark.parametrize("char", ["_", " ", "+", "-"])
