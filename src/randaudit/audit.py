@@ -25,8 +25,8 @@ spectra and head-count reversals run without loading it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import CapExceededError, as_probability
 from .sequences import BinarySequence, RelabelMask, apply_relabeling
@@ -45,8 +45,7 @@ from .verdicts import (
 INVARIANCE_CAP = 12
 
 
-@dataclass(frozen=True)
-class AuditResult:
+class AuditResult(NamedTuple):
     original: TestVerdict
     relabeled: TestVerdict
     mask: RelabelMask
@@ -90,8 +89,7 @@ def verdict_under_relabeling(
     )
 
 
-@dataclass(frozen=True)
-class FlipSearchResult:
+class FlipSearchResult(NamedTuple):
     mask: RelabelMask
     audit: AuditResult
     method: str  # 'closed-form' | 'dp'
@@ -219,8 +217,7 @@ def pvalue_spectrum(seq: BinarySequence, test: str, convention: str = ONE_SIDED)
     return spectrum
 
 
-@dataclass(frozen=True)
-class NullInvarianceReport:
+class NullInvarianceReport(NamedTuple):
     n: int
     masks_checked: int
     passed: bool

@@ -37,11 +37,11 @@ table route never loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 # Exact probabilities are plain Fractions; the alias marks intent.
 ExactProb = Fraction
@@ -249,8 +249,7 @@ def binomial_count_between(m: int, lo: int, hi: int) -> int:
         return sums[hi + 1] - sums[lo]
 
 
-@dataclass(frozen=True)
-class RunsDistribution:
+class RunsDistribution(NamedTuple):
     """Exact counts of sequences by run count, for one length n."""
 
     n: int

@@ -23,7 +23,6 @@ head count a popcount, and the run count one more than the popcount of
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import compress
 from operator import index
 from typing import Iterable, Sequence
@@ -65,39 +64,77 @@ def runs_of(value: int, n: int) -> int:
     return ((value ^ (value >> 1)) & ((1 << (n - 1)) - 1)).bit_count() + 1
 
 
-def _packed(cls, what: str, value: int, n: int, **fields):
-    """A frozen ``cls`` holding the n low bits of ``value``, checked to fit."""
+def _packed(cls, what: str, value: int, n: int):
+    """A ``cls`` holding the n low bits of ``value``, checked to fit."""
     if n < 1:
         raise ValueError(f"{what} length must be at least 1")
     value = index(value)
     if not 0 <= value < (1 << n):
         raise ValueError(f"value {value} does not fit in {n} bits")
     obj = object.__new__(cls)
-    obj.__dict__.update(value=value, n=n, **fields)
+    object.__setattr__(obj, "value", value)
+    object.__setattr__(obj, "n", n)
     return obj
 
 
-@dataclass(frozen=True, init=False)
-class BinarySequence:
+class _Packed:
+    """Frozen base of the packed classes; ``_key()`` holds the fields ``__match_args__`` names.
+
+    Two instances are equal only when they are of one class with equal
+    fields.  Copies and pickles are rebuilt through ``from_int``.
+    """
+
+    __slots__ = ("value", "n")
+    __match_args__ = ("value", "n")
+
+    def _key(self) -> tuple:
+        return self.value, self.n
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={v!r}" for name, v in zip(self.__match_args__, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self).from_int, self._key()
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __len__(self) -> int:
+        return self.n
+
+
+class BinarySequence(_Packed):
     """An ordered, nonempty record of two-valued outcomes."""
 
-    value: int
-    n: int
-    vocab: str
+    __slots__ = ("vocab",)
+    __match_args__ = ("value", "n", "vocab")
 
     def __init__(self, bits: Sequence[int], vocab: str = "heads/tails") -> None:
         if len(bits) == 0:
             raise ValueError("a sequence must contain at least one outcome")
         if any(b not in (0, 1) for b in bits):
             raise ValueError("sequence bits must be 0 or 1")
-        self.__dict__.update(value=pack(bits), n=len(bits), vocab=vocab)
+        object.__setattr__(self, "value", pack(bits))
+        object.__setattr__(self, "n", len(bits))
+        object.__setattr__(self, "vocab", vocab)
+
+    def _key(self) -> tuple:
+        return self.value, self.n, self.vocab
 
     @property
     def bits(self) -> tuple[int, ...]:
         return tuple(map(int, _digits(self.value, self.n)))
-
-    def __len__(self) -> int:
-        return self.n
 
     def text(self, lower: bool = False) -> str:
         """Render as H/T symbols, lowercase when ``lower`` is set.
@@ -113,7 +150,9 @@ class BinarySequence:
 
     @classmethod
     def from_int(cls, value: int, n: int, vocab: str = "heads/tails") -> "BinarySequence":
-        return _packed(cls, "sequence", value, n, vocab=vocab)
+        seq = _packed(cls, "sequence", value, n)
+        object.__setattr__(seq, "vocab", vocab)
+        return seq
 
 
 def parse_sequence(text: str, vocab: str = "heads/tails") -> BinarySequence:
@@ -141,26 +180,22 @@ def count_ones(seq: BinarySequence) -> int:
     return seq.value.bit_count()
 
 
-@dataclass(frozen=True, init=False)
-class RelabelMask:
+class RelabelMask(_Packed):
     """A per-position flip pattern; True inverts the reading there."""
 
-    value: int
-    n: int
+    __slots__ = ()
 
     def __init__(self, flips: Sequence[bool]) -> None:
         if len(flips) == 0:
             raise ValueError("a mask must cover at least one position")
         if any(f not in (False, True) for f in flips):
             raise ValueError("mask entries must be booleans")
-        self.__dict__.update(value=pack(flips), n=len(flips))
+        object.__setattr__(self, "value", pack(flips))
+        object.__setattr__(self, "n", len(flips))
 
     @property
     def flips(self) -> tuple[bool, ...]:
         return tuple(map("1".__eq__, _digits(self.value, self.n)))
-
-    def __len__(self) -> int:
-        return self.n
 
     @classmethod
     def identity(cls, n: int) -> "RelabelMask":

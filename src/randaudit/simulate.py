@@ -36,9 +36,9 @@ the standard library alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
+from typing import NamedTuple
 
 from .exact import CapExceededError, as_probability, check_tail_length, prob_dict
 from .sequences import BinarySequence, count_ones, count_runs, pack
@@ -49,19 +49,29 @@ BIASED = "biased"
 MARKOV = "markov"
 
 
-@dataclass(frozen=True)
-class SourceModel:
-    """A source of binary outcomes with exact-rational parameters."""
-
+class _SourceFields(NamedTuple):
     kind: str
     p: Fraction = Fraction(1, 2)  # per-trial chance of the first symbol (biased)
     stay: Fraction = Fraction(1, 2)  # chance of repeating the previous outcome (markov)
 
-    def __post_init__(self) -> None:
-        if self.kind not in (FAIR, BIASED, MARKOV):
-            raise ValueError(f"unknown source kind {self.kind!r}")
-        as_probability(self.p)
-        as_probability(self.stay)
+
+class SourceModel(_SourceFields):
+    """A source of binary outcomes with exact-rational parameters."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SourceModel":
+        model = super().__new__(cls, *args, **kwargs)
+        if model.kind not in (FAIR, BIASED, MARKOV):
+            raise ValueError(f"unknown source kind {model.kind!r}")
+        as_probability(model.p)
+        as_probability(model.stay)
+        return model
+
+    @classmethod
+    def _make(cls, fields) -> "SourceModel":
+        """Build through ``__new__``, so that ``_replace`` checks the fields too."""
+        return cls(*fields)
 
     @classmethod
     def fair(cls) -> "SourceModel":
@@ -209,8 +219,7 @@ def _lane_zero(planes: list[int]) -> BinarySequence:
     return BinarySequence.from_int(pack([plane & 1 for plane in planes]), len(planes))
 
 
-@dataclass(frozen=True)
-class RejectionRateEstimate:
+class RejectionRateEstimate(NamedTuple):
     model: SourceModel
     test: str
     n: int

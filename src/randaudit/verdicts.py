@@ -25,10 +25,9 @@ arbitrary but fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .exact import (
     ENUMERATION_CAP,
@@ -61,8 +60,7 @@ DEFAULT_ALPHA = Fraction(1, 20)
 LISTING_LIMIT = 1 << 16
 
 
-@dataclass(frozen=True)
-class TestVerdict:
+class TestVerdict(NamedTuple):
     test: str
     statistic: int
     tail_used: str  # 'lower' | 'upper' | 'doubled'
@@ -174,8 +172,7 @@ def _with_runs(n: int, r: int) -> Iterator[int]:
         yield value ^ full  # first bit 1
 
 
-@dataclass(frozen=True)
-class Statistic:
+class Statistic(NamedTuple):
     """One test's statistic and null law."""
 
     of: Callable[[int, int], int]  # the statistic of a packed (value, n)
@@ -244,8 +241,7 @@ def statistic_count(test: str, n: int, value: int) -> int:
     return _count(statistic(test), n, value, value)
 
 
-@dataclass(frozen=True)
-class RejectionSet:
+class RejectionSet(NamedTuple):
     """The statistic values rejected at a threshold, with exact mass."""
 
     test: str

@@ -357,33 +357,52 @@ WITH_NUMPY = [
 ]
 
 
-def numpy_loaded_after(argv: list[str]) -> bool:
-    """Run the CLI in a fresh interpreter; require exit 0 and say whether numpy was imported."""
-    code = (
-        "import contextlib, io, sys\n"
-        "from randaudit.cli import run_cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = run_cli({argv!r})\n"
-        "print(code, 'numpy' in sys.modules)\n"
-    )
+# Modules whose presence after a run is reported.  ``dataclasses`` and
+# ``inspect`` (with ``ast``, ``dis`` and ``tokenize`` behind it) cost a
+# process about a fifth of its start-up; numpy imports ``inspect`` itself.
+WATCHED = ("numpy", "dataclasses", "inspect")
+
+
+def modules_loaded_after(argv: list[str] | None) -> set[str]:
+    """Run the CLI in a fresh interpreter, or only ``import randaudit`` for None.
+
+    Requires exit 0 and returns the ``WATCHED`` modules that were imported.
+    """
+    if argv is None:
+        run = "import randaudit\ncode = 0\n"
+    else:
+        run = (
+            "import contextlib, io\n"
+            "from randaudit.cli import run_cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = run_cli({argv!r})\n"
+        )
+    code = f"import sys\n{run}print(code, *[m for m in {WATCHED!r} if m in sys.modules])\n"
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
         [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    exit_code, loaded = done.stdout.split()
+    exit_code, *loaded = done.stdout.split()
     assert exit_code == "0", done.stderr
-    return loaded == "True"
+    return set(loaded)
 
 
 class TestNumpyIsLoadedOnlyWhereUsed:
     @pytest.mark.parametrize("argv", WITHOUT_NUMPY, ids=" ".join)
     def test_paper_scale_commands_run_without_numpy(self, argv):
-        assert not numpy_loaded_after(argv)
+        loaded = modules_loaded_after(argv)
+        assert "numpy" not in loaded
+        assert not loaded & {"dataclasses", "inspect"}
 
     @pytest.mark.parametrize("argv", WITH_NUMPY, ids=" ".join)
     def test_dp_and_oracle_still_load_it(self, argv):
-        assert numpy_loaded_after(argv)
+        loaded = modules_loaded_after(argv)
+        assert "numpy" in loaded
+        assert "dataclasses" not in loaded  # numpy brings ``inspect`` in
+
+    def test_bare_import_loads_no_heavy_module(self):
+        assert modules_loaded_after(None) == set()
 
 
 # Every subcommand's options as ``build_parser()`` declared them before the

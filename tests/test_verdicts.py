@@ -1,6 +1,5 @@
 """Verdict semantics, tail selection, and rejection sets."""
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -133,7 +132,7 @@ class TestRejectionSets:
         def unbuilt(n, r):
             raise AssertionError("a sequence was built")
 
-        monkeypatch.setitem(verdicts.STATISTICS, RUNS, replace(verdicts.STATISTICS[RUNS], attaining=unbuilt))
+        monkeypatch.setitem(verdicts.STATISTICS, RUNS, verdicts.STATISTICS[RUNS]._replace(attaining=unbuilt))
         alpha = Fraction(1, 2**985)
         assert rejection_set(RUNS, 1000, alpha).statistic_values == (1, 2, 999, 1000)
         with pytest.raises(CapExceededError, match="symbols"):
