@@ -4,132 +4,18 @@ The library judges binary output sequences with two exact tests (run
 count and head count), applies position-wise vocabulary relabelings as
 an XOR group action, and audits or searches for relabelings that
 reverse a test's verdict.  All probabilities are exact rationals.
+
+Each module's ``__all__`` lists its public names; the package re-exports
+all of them.
 """
 
-from .audit import (
-    INVARIANCE_CAP,
-    AuditResult,
-    FlipSearchResult,
-    NullInvarianceReport,
-    check_null_invariance,
-    find_flipping_mask,
-    pvalue_spectrum,
-    verdict_under_relabeling,
-)
-from .exact import (
-    ENUMERATION_CAP,
-    CapExceededError,
-    ExactProb,
-    TAIL_LENGTH_LIMIT,
-    RunsDistribution,
-    as_probability,
-    decimal_string,
-    enumerate_runs_distribution,
-    exact_decimal_string,
-    parse_probability,
-    sequence_probability,
-)
-from .sequences import (
-    BinarySequence,
-    ParseError,
-    RelabelMask,
-    apply_relabeling,
-    count_ones,
-    count_runs,
-    mask_between,
-    mask_from_index_set,
-    parse_sequence,
-)
-from .simulate import (
-    BLOCK_TRIALS,
-    SIMULATION_WORK_LIMIT,
-    RejectionRateEstimate,
-    SourceModel,
-    likelihood,
-    parse_model,
-    posterior_odds,
-    rejection_rate,
-    sample_sequence,
-)
-from .verdicts import (
-    BINOMIAL,
-    CONVENTIONS,
-    DEFAULT_ALPHA,
-    LISTING_LIMIT,
-    ONE_SIDED,
-    RUNS,
-    TWO_SIDED_DOUBLED,
-    RejectionSet,
-    TestVerdict,
-    binomial_pvalue,
-    binomial_test,
-    rejection_set,
-    runs_count_exact,
-    runs_distribution,
-    runs_pvalue,
-    runs_test,
-    statistic_count,
-    statistic_domain,
-    statistic_pvalue,
-)
+from . import audit, exact, sequences, simulate, verdicts
+from .audit import *
+from .exact import *
+from .sequences import *
+from .simulate import *
+from .verdicts import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditResult",
-    "BINOMIAL",
-    "BLOCK_TRIALS",
-    "BinarySequence",
-    "CONVENTIONS",
-    "CapExceededError",
-    "DEFAULT_ALPHA",
-    "ENUMERATION_CAP",
-    "ExactProb",
-    "FlipSearchResult",
-    "INVARIANCE_CAP",
-    "LISTING_LIMIT",
-    "NullInvarianceReport",
-    "ONE_SIDED",
-    "ParseError",
-    "RUNS",
-    "RejectionRateEstimate",
-    "RejectionSet",
-    "RelabelMask",
-    "RunsDistribution",
-    "SIMULATION_WORK_LIMIT",
-    "SourceModel",
-    "TAIL_LENGTH_LIMIT",
-    "TWO_SIDED_DOUBLED",
-    "TestVerdict",
-    "apply_relabeling",
-    "as_probability",
-    "binomial_pvalue",
-    "binomial_test",
-    "check_null_invariance",
-    "count_ones",
-    "count_runs",
-    "decimal_string",
-    "enumerate_runs_distribution",
-    "exact_decimal_string",
-    "find_flipping_mask",
-    "likelihood",
-    "mask_between",
-    "mask_from_index_set",
-    "parse_model",
-    "parse_probability",
-    "parse_sequence",
-    "posterior_odds",
-    "pvalue_spectrum",
-    "rejection_rate",
-    "rejection_set",
-    "runs_count_exact",
-    "runs_distribution",
-    "runs_pvalue",
-    "runs_test",
-    "sample_sequence",
-    "sequence_probability",
-    "statistic_count",
-    "statistic_domain",
-    "statistic_pvalue",
-    "verdict_under_relabeling",
-]
+__all__ = [*audit.__all__, *exact.__all__, *sequences.__all__, *simulate.__all__, *verdicts.__all__]

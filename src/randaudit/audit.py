@@ -42,6 +42,17 @@ from .verdicts import (
     statistic_pvalue,
 )
 
+__all__ = [
+    "INVARIANCE_CAP",
+    "AuditResult",
+    "FlipSearchResult",
+    "NullInvarianceReport",
+    "check_null_invariance",
+    "find_flipping_mask",
+    "pvalue_spectrum",
+    "verdict_under_relabeling",
+]
+
 INVARIANCE_CAP = 12
 
 

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 from . import report as report_mod
 from .audit import find_flipping_mask, pvalue_spectrum, verdict_under_relabeling
-from .exact import CapExceededError, enumerate_runs_distribution, parse_probability, prob_dict
+from .exact import CapExceededError, enumerate_runs_distribution, parse_probability, parse_rational, prob_dict
 from .report import build_report, to_json
 from .sequences import (
     ParseError,
@@ -118,7 +118,7 @@ OPTIONS = {
     ),
     "prior_odds": _flag(
         "--prior-odds",
-        Fraction,
+        parse_rational,
         lambda prior: _rendered(str, prior),
         default="1",
         help="prior odds as a positive rational",

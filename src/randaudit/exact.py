@@ -37,11 +37,27 @@ table route never loads it.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
+
+__all__ = [
+    "ENUMERATION_CAP",
+    "CapExceededError",
+    "ExactProb",
+    "TAIL_LENGTH_LIMIT",
+    "RunsDistribution",
+    "as_probability",
+    "decimal_string",
+    "enumerate_runs_distribution",
+    "exact_decimal_string",
+    "parse_probability",
+    "parse_rational",
+    "sequence_probability",
+]
 
 # Exact probabilities are plain Fractions; the alias marks intent.
 ExactProb = Fraction
@@ -79,25 +95,38 @@ def as_probability(value: Fraction | int | str) -> Fraction:
     return p
 
 
-def parse_probability(text: str) -> Fraction:
-    """Parse ``1/20``, ``0.05`` or ``1/2^985`` style text to an exact probability.
+# The exponent of a decimal such as ``1e-9``, in the digit classes
+# ``Fraction`` itself reads: any Unicode decimal digit, and underscores.
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
 
-    Decimal strings are expanded exactly (0.05 becomes 1/20), never
-    routed through floating point.  A dyadic ``<int>/2^<k>`` is read for
-    0 <= k <= TAIL_LENGTH_LIMIT only, so a huge power is never built.
+
+def parse_rational(text: str, what: str = "rational") -> Fraction:
+    """Parse ``3/4``, ``0.05``, ``1e-9`` or ``1/2^985`` style text to an exact Fraction.
+
+    Reads everything ``Fraction`` reads, exactly, never through floating
+    point (0.05 becomes 1/20).  A dyadic ``<int>/2^<k>`` is read for
+    0 <= k <= TAIL_LENGTH_LIMIT, and a decimal exponent e for
+    |e| <= TAIL_LENGTH_LIMIT, so a huge power is never built.  ``what``
+    names the value in the error message.
     """
     stripped = text.strip()
     num, dyadic, power = stripped.partition("/2^")
     try:
-        if not (dyadic and num.isdecimal() and power.isdecimal()):
-            p = Fraction(stripped)
-        elif int(power) > TAIL_LENGTH_LIMIT:
-            raise ValueError(f"power of two above 2^{TAIL_LENGTH_LIMIT}")
-        else:
-            p = Fraction(int(num), 1 << int(power))
+        if dyadic and num.isdecimal() and power.isdecimal():
+            if int(power) > TAIL_LENGTH_LIMIT:
+                raise ValueError(f"power of two above 2^{TAIL_LENGTH_LIMIT}")
+            return Fraction(int(num), 1 << int(power))
+        exponent = _EXPONENT.search(stripped)
+        if exponent and abs(int(exponent[1])) > TAIL_LENGTH_LIMIT:
+            raise ValueError(f"decimal exponent of magnitude above {TAIL_LENGTH_LIMIT}")
+        return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse probability from {text!r}: {exc}") from None
-    return as_probability(p)
+        raise ValueError(f"cannot parse {what} from {text!r}: {exc}") from None
+
+
+def parse_probability(text: str) -> Fraction:
+    """Parse text as :func:`parse_rational` does and require it to lie in [0, 1]."""
+    return as_probability(parse_rational(text, "probability"))
 
 
 def decimal_string(p: Fraction, places: int = 3) -> str:
@@ -267,30 +296,23 @@ class RunsDistribution(NamedTuple):
     def pmf(self, r: int) -> Fraction:
         return Fraction(self.count(r), self.total)
 
-    def to_csv(self) -> str:
-        lines = ["r,count,pmf-numerator,pmf-denominator,pmf-decimal"]
+    def _rows(self) -> Iterator[tuple[int, int, Fraction, str]]:
+        """(r, count, pmf, exact decimal pmf) for r = 1..n."""
         for r in range(1, self.n + 1):
             p = self.pmf(r)
-            lines.append(
-                f"{r},{self.count(r)},{p.numerator},{p.denominator},{exact_decimal_string(p)}"
-            )
+            yield r, self.count(r), p, exact_decimal_string(p)
+
+    def to_csv(self) -> str:
+        lines = ["r,count,pmf-numerator,pmf-denominator,pmf-decimal"]
+        for r, count, p, decimal in self._rows():
+            lines.append(f"{r},{count},{p.numerator},{p.denominator},{decimal}")
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        rows = []
-        for r in range(1, self.n + 1):
-            p = self.pmf(r)
-            rows.append(
-                {
-                    "r": r,
-                    "count": self.count(r),
-                    "pmf": {
-                        "num": p.numerator,
-                        "den": p.denominator,
-                        "decimal": exact_decimal_string(p),
-                    },
-                }
-            )
+        rows = [
+            {"r": r, "count": count, "pmf": {"num": p.numerator, "den": p.denominator, "decimal": decimal}}
+            for r, count, p, decimal in self._rows()
+        ]
         return {"n": self.n, "total": self.total, "rows": rows}
 
 

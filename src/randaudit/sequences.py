@@ -27,6 +27,18 @@ from itertools import compress
 from operator import index
 from typing import Iterable, Sequence
 
+__all__ = [
+    "BinarySequence",
+    "ParseError",
+    "RelabelMask",
+    "apply_relabeling",
+    "count_ones",
+    "count_runs",
+    "mask_between",
+    "mask_from_index_set",
+    "parse_sequence",
+]
+
 _TO_BINARY = str.maketrans("Hh1Tt0", "111000")
 _NOT_SYMBOL = re.compile("[^HhTt01]")
 _NOT_FLIP = re.compile("[^01]")
@@ -57,6 +69,21 @@ def pack(flags: Sequence) -> int:
 def _digits(value: int, n: int) -> str:
     """The n low bits of ``value`` as 0/1 text, position 1 first."""
     return format(value, f"0{n}b")[::-1]
+
+
+def _read_bits(text: str, illegal: re.Pattern, what: str, kind: str) -> int:
+    """The packed value of nonempty 0/1 (or H/T) text, position 1 in the low bit.
+
+    Raises :class:`ParseError` naming ``what`` for empty text, and the
+    ``kind`` and 1-based position of the first character ``illegal`` matches.
+    """
+    if text == "":
+        raise ParseError(f"empty {what}")
+    bad = illegal.search(text)
+    if bad:
+        i = bad.start() + 1
+        raise ParseError(f"illegal {kind} {bad.group()!r} at position {i}", position=i)
+    return int(text[::-1].translate(_TO_BINARY), 2)
 
 
 def runs_of(value: int, n: int) -> int:
@@ -161,13 +188,7 @@ def parse_sequence(text: str, vocab: str = "heads/tails") -> BinarySequence:
     Raises :class:`ParseError` for empty input or for any other
     character, reporting its 1-based position.
     """
-    if text == "":
-        raise ParseError("empty sequence")
-    bad = _NOT_SYMBOL.search(text)
-    if bad:
-        i = bad.start() + 1
-        raise ParseError(f"illegal character {bad.group()!r} at position {i}", position=i)
-    return BinarySequence.from_int(int(text[::-1].translate(_TO_BINARY), 2), len(text), vocab)
+    return BinarySequence.from_int(_read_bits(text, _NOT_SYMBOL, "sequence", "character"), len(text), vocab)
 
 
 def count_runs(seq: BinarySequence) -> int:
@@ -204,13 +225,7 @@ class RelabelMask(_Packed):
     @classmethod
     def from_flip_string(cls, text: str) -> "RelabelMask":
         """Parse a flip pattern written as a 0/1 string, position 1 first."""
-        if text == "":
-            raise ParseError("empty mask")
-        bad = _NOT_FLIP.search(text)
-        if bad:
-            i = bad.start() + 1
-            raise ParseError(f"illegal mask character {bad.group()!r} at position {i}", position=i)
-        return cls.from_int(int(text[::-1], 2), len(text))
+        return cls.from_int(_read_bits(text, _NOT_FLIP, "mask", "mask character"), len(text))
 
     @classmethod
     def from_int(cls, value: int, n: int) -> "RelabelMask":

@@ -40,9 +40,21 @@ from fractions import Fraction
 from math import sqrt
 from typing import NamedTuple
 
-from .exact import CapExceededError, as_probability, check_tail_length, prob_dict
+from .exact import CapExceededError, as_probability, check_tail_length, parse_rational, prob_dict
 from .sequences import BinarySequence, count_ones, count_runs, pack
 from .verdicts import DEFAULT_ALPHA, ONE_SIDED, RUNS, rejection_set, statistic
+
+__all__ = [
+    "BLOCK_TRIALS",
+    "SIMULATION_WORK_LIMIT",
+    "RejectionRateEstimate",
+    "SourceModel",
+    "likelihood",
+    "parse_model",
+    "posterior_odds",
+    "rejection_rate",
+    "sample_sequence",
+]
 
 FAIR = "fair"
 BIASED = "biased"
@@ -103,9 +115,9 @@ def parse_model(text: str) -> SourceModel:
         raise ValueError(f"cannot parse model {text!r}")
     name, sep, value = arg.partition("=")
     if kind == BIASED and sep and name == "p":
-        return SourceModel.biased(Fraction(value))
+        return SourceModel.biased(parse_rational(value))
     if kind == MARKOV and sep and name == "stay":
-        return SourceModel.sticky_markov(Fraction(value))
+        return SourceModel.sticky_markov(parse_rational(value))
     raise ValueError(f"cannot parse model {text!r}")
 
 

@@ -40,6 +40,28 @@ from .exact import (
 )
 from .sequences import BinarySequence, runs_of
 
+__all__ = [
+    "BINOMIAL",
+    "CONVENTIONS",
+    "DEFAULT_ALPHA",
+    "LISTING_LIMIT",
+    "ONE_SIDED",
+    "RUNS",
+    "TWO_SIDED_DOUBLED",
+    "RejectionSet",
+    "TestVerdict",
+    "binomial_pvalue",
+    "binomial_test",
+    "rejection_set",
+    "runs_count_exact",
+    "runs_distribution",
+    "runs_pvalue",
+    "runs_test",
+    "statistic_count",
+    "statistic_domain",
+    "statistic_pvalue",
+]
+
 RUNS = "runs"
 BINOMIAL = "binomial"
 TESTS = (RUNS, BINOMIAL)

@@ -270,6 +270,23 @@ class TestErrorsAndStability:
         assert f"limit {TAIL_LENGTH_LIMIT}" in err
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("runs-test", "--seq", "HT", "--alpha", "1e-9999999"),
+            ("runs-test", "--seq", "HT", "--alpha", "1e-\u0669\u0669\u0669\u0669\u0669\u0669\u0669"),
+            ("posterior", "--seq", "HT", "--model", "biased:p=3/5", "--prior-odds", "1e-9999999"),
+            ("simulate", "--test", "runs", "--n", "9", "--model", "biased:p=1e-9999999"),
+        ],
+        ids=["alpha", "alpha-arabic-indic-digits", "prior-odds", "model"],
+    )
+    def test_huge_decimal_exponent_is_refused_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"exponent of magnitude above {TAIL_LENGTH_LIMIT}" in err
+        assert time.perf_counter() - start < 0.1
+
     def test_reports_are_byte_stable(self, capsys):
         args = ("audit", "--seq", "HTTHTHHHT", "--x-set", "1,4,9", "--test", "runs")
         code1, out1, _ = invoke(capsys, *args)

@@ -29,6 +29,7 @@ from randaudit import (
     enumerate_runs_distribution,
     exact_decimal_string,
     parse_probability,
+    parse_rational,
     runs_count_exact,
     runs_distribution,
     runs_pvalue,
@@ -397,6 +398,42 @@ class TestProbabilityHelpers:
         for text in (f"1/2^{TAIL_LENGTH_LIMIT + 1}", "1/2^" + "9" * 5000, "3/2^1", "1/2^-1", "-1/2^3", "1/3^2"):
             with pytest.raises(ValueError, match="probability"):
                 parse_probability(text)
+
+    @pytest.mark.parametrize(
+        "text", ["3/4", "-2", " 0.05 ", ".5", "1e-3", "7.5E+2", "1_000e-2", "\u0661/\u0662", "1e5000", "-1e-5000"]
+    )
+    def test_parse_rational_reads_what_fraction_reads(self, text):
+        assert parse_rational(text) == Fraction(text)
+
+    def test_parse_rational_reads_dyadic(self):
+        assert parse_rational(" 3/2^2 ") == Fraction(3, 4)
+        assert parse_rational(f"5/2^{TAIL_LENGTH_LIMIT}") == Fraction(5, 2**TAIL_LENGTH_LIMIT)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"1e{TAIL_LENGTH_LIMIT + 1}",
+            f"1e-{TAIL_LENGTH_LIMIT + 1}",
+            "1e-9999999",
+            "1E+9_999_999",
+            "1e-\u0669\u0669\u0669\u0669\u0669\u0669\u0669",  # Arabic-Indic digits
+            "0.5e-" + "9" * 4000,
+        ],
+    )
+    def test_parse_rational_refuses_large_exponents_before_building_a_power(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"exponent of magnitude above {TAIL_LENGTH_LIMIT}"):
+            parse_rational(text)
+        with pytest.raises(ValueError, match="probability"):
+            parse_probability(text)
+        assert time.perf_counter() - start < 0.1
+
+    def test_parse_rational_errors_name_the_value(self):
+        for text in ("h", "1/0", "1e", "1e5_", f"1/2^{TAIL_LENGTH_LIMIT + 1}"):
+            with pytest.raises(ValueError, match="cannot parse rational"):
+                parse_rational(text)
+        with pytest.raises(ValueError, match="cannot parse prior odds from 'h'"):
+            parse_rational("h", "prior odds")
 
     def test_as_probability_bounds(self):
         with pytest.raises(ValueError):

@@ -76,6 +76,7 @@ CASES = {
     "error-oracle-cap": ["distribution", "--n", "25", "--oracle"],
     "rejection-set-dyadic-alpha": ["rejection-set", "--test", "runs", "--n", "1000", "--alpha", "1/2^985"],
     "error-alpha-power-cap": ["rejection-set", "--test", "runs", "--n", "1000", "--alpha", "1/2^5001"],
+    "error-alpha-exponent-cap": ["rejection-set", "--test", "runs", "--n", "1000", "--alpha", "1e-9999999"],
 }
 
 

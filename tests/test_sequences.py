@@ -48,6 +48,22 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_sequence("")
 
+    @pytest.mark.parametrize(
+        "parse, text, message, position",
+        [
+            (parse_sequence, "", "empty sequence", None),
+            (parse_sequence, "HTxH", "illegal character 'x' at position 3", 3),
+            (parse_sequence, "HT\u0661", "illegal character '\u0661' at position 3", 3),
+            (RelabelMask.from_flip_string, "", "empty mask", None),
+            (RelabelMask.from_flip_string, "0H1", "illegal mask character 'H' at position 2", 2),
+            (RelabelMask.from_flip_string, "01 ", "illegal mask character ' ' at position 3", 3),
+        ],
+    )
+    def test_parse_error_messages(self, parse, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.position) == (message, position)
+
     def test_vocab_is_carried(self):
         assert parse_sequence("HT", vocab="hails/teads").vocab == "hails/teads"
 

@@ -119,6 +119,20 @@ class TestRejectionSets:
         assert rejection_set(RUNS, 9, Fraction(1)).statistic_values == tuple(range(1, 10))
         assert rejection_set(RUNS, 9, Fraction(1)).exact_size == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 1000])
+    @pytest.mark.parametrize("convention", [ONE_SIDED, TWO_SIDED_DOUBLED])
+    @pytest.mark.parametrize("test", [RUNS, BINOMIAL])
+    def test_rejected_values_are_a_prefix_and_a_suffix_of_the_domain(self, test, convention, n):
+        # Each rejected set is cut from the domain by at most two cut points.
+        domain = tuple(statistic_domain(test, n))
+        for alpha in (Fraction(0), Fraction(1, 100), Fraction(1, 20), Fraction(1, 2), Fraction(1)):
+            values = rejection_set(test, n, alpha, convention).statistic_values
+            head = 0
+            while head < len(values) and values[head] == domain[head]:
+                head += 1
+            tail = values[head:]
+            assert tail == domain[len(domain) - len(tail) :], (alpha, values)
+
     def test_explicit_listing_past_the_enumeration_cap(self):
         # Rejected run counts {1, 2, 29, 30}: 2 + 58 + 58 + 2 sequences.
         listed = rejection_set(RUNS, 30, Fraction(1, 10_000_000), include_sequences=True)
@@ -292,7 +306,7 @@ SIMULATION_WORK_LIMIT SourceModel TAIL_LENGTH_LIMIT TWO_SIDED_DOUBLED
 TestVerdict apply_relabeling as_probability binomial_pvalue binomial_test
 check_null_invariance count_ones count_runs decimal_string
 enumerate_runs_distribution exact_decimal_string find_flipping_mask
-likelihood mask_between mask_from_index_set parse_model parse_probability
+likelihood mask_between mask_from_index_set parse_model parse_probability parse_rational
 parse_sequence posterior_odds pvalue_spectrum rejection_rate rejection_set
 runs_count_exact runs_distribution runs_pvalue runs_test sample_sequence
 sequence_probability statistic_count statistic_domain statistic_pvalue
