@@ -9,25 +9,28 @@ themselves, and every count and tail read from them, live in
 
 Every count is a lookup in one cached table, read by
 :func:`binomial_count_between`: the prefix sums S(j) = C(m, 0) + ... +
-C(m, j - 1) of row m of Pascal's triangle.  A verdict-level call reads
-two rows, so the two most recently used tables are kept.
+C(m, j - 1) of row m of Pascal's triangle.  A count at length n reads row
+m = n - 1 alone.  Its law is low + Binomial(n - low, 1/2) for low 0 or 1,
+and by Pascal's rule C(m, v - 1) + C(m, v - low) outcomes attain the
+value v (2 C(m, v - 1) for low = 1, C(n, v) for low = 0), so a count over
+lo..hi is four prefix sums, S(hi) + S(hi + 1 - low) - S(lo - 1) -
+S(lo - low).  Each row ends in two fixed entries, S(m + 2) = 2^m and
+S(-1) = 0, the latter stored last, so no read branches or clamps at an
+end of the law.  The rows of the two most recent lengths are kept.
 
 A row starts at its centre, where S(m//2 + 1) is 2^(m-1) for odd m and
 (2^m + C(m, m/2)) / 2 for even m, and is filled outward only as far as a
 query reaches, both halves at once since S(j) + S(m + 1 - j) = 2^m.  The
 observed statistic of a typical sequence lies within about sqrt(m) of
-the centre, so a p-value at a new length costs the centre coefficient
-and a few dozen steps.  A verdict pair reads rows n - 1 and n, and a row
-one step from the last row built derives its centre coefficient from
-that row's with one multiply and divide, so only the first row pays a
-math.comb (0.22 ms at m = 2047, 1.2 ms at m = 5000): both verdicts of a
-random sequence take 0.36 ms from cold at n = 2048 and 1.8 ms at
-n = 5000, against 0.61 and 2.4 ms with a math.comb per row.  A query at
-an end of the law fills the whole row, m/2 steps: 1.6 ms at m = 2047
-and 7.4 ms at m = 5000, where a full row holds 0.55 MB and 3 MB (times
-on a 2-vCPU x86_64 machine, Python 3.11).  Exact
-tails refuse lengths above TAIL_LENGTH_LIMIT = 5000 with
-CapExceededError, before anything is allocated.
+the centre, so a verdict at a new length costs the one math.comb of the
+centre coefficient (0.2 ms at m = 2047, 1.0 ms at m = 4999) and a few
+dozen steps: both verdicts of a random sequence take 0.3 ms from cold at
+n = 2048 and 1.1-1.4 ms at n = 5000.  A query at an end of a law fills
+the whole row, m/2 steps: 1.4 ms at m = 2047 and 5.3 ms at m = 4999,
+where a full row holds 0.55 MB and 3 MB (times on a 2-vCPU x86_64
+machine, Python 3.11).  Exact tails refuse lengths above
+TAIL_LENGTH_LIMIT = 5000 with CapExceededError, before anything is
+allocated.
 
 The enumeration route tallies the run count over all 2^n sequences and
 is the oracle the table is validated against in the tests.  It is the
@@ -38,6 +41,7 @@ table route never loads it.
 from __future__ import annotations
 
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -77,9 +81,9 @@ _CHUNK = 1 << 16
 # 220 MB to render 44 MB of decimals at this length; at 10,000 it took
 # 37 s and 790 MB.
 TAIL_LENGTH_LIMIT = 5000
-# A verdict-level call reads the head-count row n and the run-count row n - 1.
-# A row is kept partly filled and extended in place, so a later query at
-# the same length pays only for the entries it adds.
+# Rows are kept for the two most recent lengths, one row per length.  A row
+# is kept partly filled and extended in place, so a later query at the same
+# length pays only for the entries it adds.
 TAIL_TABLES_CACHED = 2
 
 
@@ -88,8 +92,8 @@ class CapExceededError(ValueError):
 
 
 def as_probability(value: Fraction | int | str) -> Fraction:
-    """Coerce to an exact Fraction and require it to lie in [0, 1]."""
-    p = Fraction(value)
+    """Coerce to an exact Fraction and require it to lie in [0, 1]; text is read by :func:`parse_rational`."""
+    p = parse_rational(value, "probability") if isinstance(value, str) else Fraction(value)
     if not 0 <= p <= 1:
         raise ValueError(f"probability {p} outside [0, 1]")
     return p
@@ -125,8 +129,18 @@ def parse_rational(text: str, what: str = "rational") -> Fraction:
 
 
 def parse_probability(text: str) -> Fraction:
-    """Parse text as :func:`parse_rational` does and require it to lie in [0, 1]."""
-    return as_probability(parse_rational(text, "probability"))
+    """Parse text as :func:`parse_rational` does and require it to lie in [0, 1].
+
+    A probability whose denominator, and so its numerator, has more
+    decimal digits than ``sys.get_int_max_str_digits()`` allows (0: no
+    limit) is refused here, as a report could not render it.
+    """
+    p = as_probability(text)
+    limit = sys.get_int_max_str_digits()
+    # A denominator of at most 3 * limit bits is below 8^limit, so the power of ten is built only near the limit.
+    if limit and p.denominator.bit_length() > 3 * limit and p.denominator >= 10**limit:
+        raise ValueError(f"cannot parse probability from {text!r}: denominator of more than {limit} digits")
+    return p
 
 
 def decimal_string(p: Fraction, places: int = 3) -> str:
@@ -192,38 +206,17 @@ def check_tail_length(n: int) -> None:
         raise CapExceededError(f"exact tails at length {n} exceed the limit {TAIL_LENGTH_LIMIT}")
 
 
-# (m, C(m, m // 2)) for the row built last.  It is replaced as one tuple,
-# so a thread that reads a stale one still reads a correct pair.
-_last_centre = (0, 1)
-
-
-def _central_binomial(m: int) -> int:
-    """C(m, m // 2): one multiply and divide from the last row's when m is one step away.
-
-    C(2k, k) = 2 C(2k - 1, k - 1) and C(2k + 1, k) = C(2k, k) (2k + 1) / (k + 1),
-    read either way; any other m calls math.comb.
-    """
-    global _last_centre
-    last, middle = _last_centre
-    if m == last + 1:
-        middle = 2 * middle if m % 2 == 0 else middle * m // (m // 2 + 1)
-    elif m == last - 1:
-        middle = middle // 2 if last % 2 == 0 else middle * (last // 2 + 1) // last
-    elif m != last:
-        middle = comb(m, m // 2)
-    _last_centre = (m, middle)
-    return middle
-
-
 class _PrefixRow:
     """Prefix sums of row m of Pascal's triangle, filled outward from the centre.
 
     ``sums[j]`` = C(m, 0) + ... + C(m, j - 1), for j = 0..m + 1; an entry
-    not yet filled is None.  ``edge`` is ``(h, C(m, h))``: every entry from
-    m + 1 - h to h is filled.  It is published as one tuple after the
-    entries it covers are written, so a thread that extends the row from a
-    stale edge writes only values that are already correct, and an edge
-    published late costs at most a refill.
+    not yet filled is None.  Two fixed entries follow: ``sums[m + 2]`` =
+    S(m + 2) = 2^m and, last so that ``sums[-1]`` reads it, S(-1) = 0.
+    ``edge`` is ``(h, C(m, h))``: every entry from m + 1 - h to h is
+    filled.  It is published as one tuple after the entries it covers are
+    written, so a thread that extends the row from a stale edge writes only
+    values that are already correct, and an edge published late costs at
+    most a refill.
     """
 
     __slots__ = ("m", "sums", "edge")
@@ -231,16 +224,16 @@ class _PrefixRow:
     def __init__(self, m: int) -> None:
         total = 1 << m
         half = m // 2
-        middle = _central_binomial(m)
-        sums: list[int | None] = [None] * (m + 2)
-        sums[0], sums[m + 1] = 0, total
+        middle = comb(m, half)
+        sums: list[int | None] = [None] * (m + 4)
+        sums[0], sums[m + 1], sums[m + 2], sums[m + 3] = 0, total, total, 0
         centre = (total + middle) >> 1 if m % 2 == 0 else total >> 1
         sums[half + 1], sums[m - half] = centre, total - centre
         self.m, self.sums = m, sums
         self.edge = (half + 1, middle * (m - half) // (half + 1))
 
     def fill(self, j: int) -> None:
-        """Fill every entry at least as close to the centre as ``sums[j]``."""
+        """Fill every entry at least as close to the centre as ``sums[j]``, for j in 0..m + 1."""
         m, sums = self.m, self.sums
         reach = max(j, m + 1 - j)
         h, term = self.edge
@@ -259,23 +252,23 @@ def _binomial_prefix_sums(m: int) -> _PrefixRow:
     return _PrefixRow(m)
 
 
-def binomial_count_between(m: int, lo: int, hi: int) -> int:
-    """C(m, lo) + ... + C(m, hi), from row m of the cached table.
+def binomial_count_between(n: int, lo: int, hi: int, low: int) -> int:
+    """2^low (C(n - low, lo - low) + ... + C(n - low, hi - low)), from row n - 1 of the cached table.
 
-    Its one caller in the package refuses m beyond TAIL_LENGTH_LIMIT first.
+    That is the number of the 2^n equiprobable outcomes at which low +
+    Binomial(n - low, 1/2) lies in lo..hi, for ``low`` 0 or 1.  Its one
+    caller in the package checks 1 <= n <= TAIL_LENGTH_LIMIT and
+    low <= lo <= hi <= n first.
     """
-    if not 0 <= lo <= hi <= m:
-        raise ValueError(f"count range {lo}..{hi} outside 0..{m}")
-    row = _binomial_prefix_sums(m)
+    row = _binomial_prefix_sums(n - 1)
     sums = row.sums
     try:
-        return sums[hi + 1] - sums[lo]
+        return sums[hi] + sums[hi + 1 - low] - sums[lo - 1] - sums[lo - low]
     except TypeError:  # an entry not yet filled is None; the try is free on a filled row
-        if sums[lo] is None:
-            row.fill(lo)
-        if sums[hi + 1] is None:
-            row.fill(hi + 1)
-        return sums[hi + 1] - sums[lo]
+        for j in (hi, hi + 1 - low, lo - 1, lo - low):
+            if sums[j] is None:
+                row.fill(j)
+        return sums[hi] + sums[hi + 1 - low] - sums[lo - 1] - sums[lo - low]
 
 
 class RunsDistribution(NamedTuple):

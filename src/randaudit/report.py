@@ -121,11 +121,7 @@ def _expect(checks: list, name: str, actual, expected) -> None:
 
 
 def _as_json_value(value):
-    if isinstance(value, Fraction):
-        return prob_dict(value)
-    if isinstance(value, tuple):
-        return list(value)
-    return value
+    return prob_dict(value) if isinstance(value, Fraction) else value
 
 
 def _verdict_row(label: str, verdict: TestVerdict, rendering: str) -> dict:

@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import sqrt
 from typing import NamedTuple
 
-from .exact import CapExceededError, as_probability, check_tail_length, parse_rational, prob_dict
+from .exact import CapExceededError, as_probability, check_tail_length, parse_probability, parse_rational, prob_dict
 from .sequences import BinarySequence, count_ones, count_runs, pack
 from .verdicts import DEFAULT_ALPHA, ONE_SIDED, RUNS, rejection_set, statistic
 
@@ -115,9 +115,9 @@ def parse_model(text: str) -> SourceModel:
         raise ValueError(f"cannot parse model {text!r}")
     name, sep, value = arg.partition("=")
     if kind == BIASED and sep and name == "p":
-        return SourceModel.biased(parse_rational(value))
+        return SourceModel.biased(parse_probability(value))
     if kind == MARKOV and sep and name == "stay":
-        return SourceModel.sticky_markov(parse_rational(value))
+        return SourceModel.sticky_markov(parse_probability(value))
     raise ValueError(f"cannot parse model {text!r}")
 
 
@@ -333,14 +333,14 @@ def likelihood(model: SourceModel, seq: BinarySequence) -> Fraction:
     return Fraction(1, 2) * (1 - model.stay) ** (r - 1) * model.stay ** (seq.n - r)
 
 
-def posterior_odds(prior_odds: Fraction, alt: SourceModel, seq: BinarySequence) -> Fraction:
+def posterior_odds(prior_odds: Fraction | int | str, alt: SourceModel, seq: BinarySequence) -> Fraction:
     """Exact posterior odds of the alternative against the fair null.
 
     prior_odds times the likelihood ratio.  The fair likelihood is
     strictly positive, so the ratio always exists; an alternative that
     assigns zero probability yields odds 0.
     """
-    prior = Fraction(prior_odds)
+    prior = parse_rational(prior_odds, "prior odds") if isinstance(prior_odds, str) else Fraction(prior_odds)
     if prior <= 0:
         raise ValueError("prior odds must be positive")
     return prior * likelihood(alt, seq) / likelihood(SourceModel.fair(), seq)

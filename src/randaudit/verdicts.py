@@ -8,8 +8,11 @@ Binomial(n - low, 1/2) (R - 1 for the run count R, the head count itself;
 Mood 1940), so 2^low * C(n - low, v - low) sequences attain each value v
 in low..n.  Every count, tail and distribution below is read from that
 law by one private function, which refuses a length beyond
-TAIL_LENGTH_LIMIT before any table is built.  The entry also generates
-the sequences attaining a value, for explicit rejection sets.
+TAIL_LENGTH_LIMIT before any table is built and is the one place that
+passes ``low`` to the table.  Both laws at length n read the same
+cached row, row n - 1 of Pascal's triangle, so a verdict pair at a new
+length builds one row.  The entry also generates the sequences
+attaining a value, for explicit rejection sets.
 
 A verdict pairs an observed statistic with its exact tail probability
 and a significance threshold.  The threshold is always an exact
@@ -109,7 +112,7 @@ def _count(stat: Statistic, n: int, lo: int, hi: int) -> int:
     low = stat.low
     if not low <= lo <= hi <= n:
         raise ValueError(f"statistic range {lo}..{hi} outside {low}..{n}")
-    return binomial_count_between(n - low, lo - low, hi - low) << low
+    return binomial_count_between(n, lo, hi, low)
 
 
 def _tail(stat: Statistic, n: int, value: int, tail: str) -> Fraction:

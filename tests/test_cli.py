@@ -287,6 +287,27 @@ class TestErrorsAndStability:
         assert f"exponent of magnitude above {TAIL_LENGTH_LIMIT}" in err
         assert time.perf_counter() - start < 0.1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("runs-test", "--seq", "HT", "--alpha", "1e-4300"),
+            ("runs-test", "--seq", "HT", "--alpha", "9.99e-4299"),
+            ("simulate", "--test", "runs", "--n", "9", "--trials", "100", "--model", "biased:p=1e-4300"),
+            ("posterior", "--seq", "HT", "--model", "biased:p=1e-4300"),
+        ],
+        ids=["alpha", "alpha-mantissa", "simulate-model", "posterior-model"],
+    )
+    def test_unrenderable_probability_is_refused_at_parse(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse probability") and err.count("\n") == 1
+        assert time.perf_counter() - start < 0.1
+
+    def test_alpha_at_the_digit_limit_is_read(self, capsys):
+        report = invoke_json(capsys, "runs-test", "--seq", "HT", "--alpha", "1e-4299")
+        assert frac(report["inputs"]["alpha"]) == Fraction(1, 10**4299)
+
     def test_reports_are_byte_stable(self, capsys):
         args = ("audit", "--seq", "HTTHTHHHT", "--x-set", "1,4,9", "--test", "runs")
         code1, out1, _ = invoke(capsys, *args)

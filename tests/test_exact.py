@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from randaudit import exact
 from randaudit import (
+    BINOMIAL,
+    RUNS,
     BinarySequence,
     CapExceededError,
     ENUMERATION_CAP,
@@ -35,6 +37,7 @@ from randaudit import (
     runs_pvalue,
     runs_test,
     sequence_probability,
+    statistic_count,
 )
 
 
@@ -240,13 +243,22 @@ def _comb_prefix_sums(m: int) -> tuple[int, ...]:
     return tuple(sums)
 
 
+def _law_count(n: int, lo: int, hi: int, low: int) -> int:
+    """2^low (C(n - low, lo - low) + ... + C(n - low, hi - low)), straight from math.comb."""
+    sums = _comb_prefix_sums(n - low)
+    return (sums[hi + 1 - low] - sums[lo - low]) << low
+
+
 def _cold_row(m: int):
     exact._binomial_prefix_sums.cache_clear()
     return exact._binomial_prefix_sums(m)
 
 
 def _filled_entries_are_prefix_sums(row) -> bool:
-    return all(s is None or s == t for s, t in zip(row.sums, _comb_prefix_sums(row.m), strict=True))
+    """Entries 0..m + 1 that are filled are the prefix sums; the two fixed entries are intact."""
+    m = row.m
+    filled = all(s is None or s == t for s, t in zip(row.sums[: m + 2], _comb_prefix_sums(m), strict=True))
+    return filled and row.sums[m + 2 :] == [2**m, 0]
 
 
 class TestCentreOutRow:
@@ -255,16 +267,18 @@ class TestCentreOutRow:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([0, 1, 2, 3, 4, 63, 64, 255, 256, 2047, 2048]), st.data())
     def test_queries_match_comb_sums_from_any_start(self, m, data):
+        n = m + 1
         row = _cold_row(m)
         start = data.draw(st.sampled_from(["cold", "warm", "partly filled"]))
         if start == "warm":
-            exact.binomial_count_between(m, 0, 0)  # S(1) is the farthest entry from the centre
+            exact.binomial_count_between(n, 0, 0, 0)  # S(1) is the farthest entry from the centre
         elif start == "partly filled":
-            k = data.draw(st.integers(0, m))
-            exact.binomial_count_between(m, k, k)
-        end = st.one_of(st.just(0), st.just(m), st.integers(0, m))
-        reference = _comb_prefix_sums(m)
+            low = data.draw(st.sampled_from([0, 1]))
+            k = data.draw(st.integers(low, n))
+            exact.binomial_count_between(n, k, k, low)
         for _ in range(data.draw(st.integers(1, 8))):
+            low = data.draw(st.sampled_from([0, 1]))
+            end = st.one_of(st.just(low), st.just(n), st.integers(low, n))
             kind = data.draw(st.sampled_from(["range", "single", "lower", "upper"]))
             a = data.draw(end)
             if kind == "range":
@@ -272,10 +286,10 @@ class TestCentreOutRow:
             elif kind == "single":
                 lo, hi = a, a
             elif kind == "lower":
-                lo, hi = 0, a
+                lo, hi = low, a
             else:
-                lo, hi = a, m
-            assert exact.binomial_count_between(m, lo, hi) == reference[hi + 1] - reference[lo]
+                lo, hi = a, n
+            assert exact.binomial_count_between(n, lo, hi, low) == _law_count(n, lo, hi, low)
             assert _filled_entries_are_prefix_sums(row)
             assert row.sums[0] == 0 and row.sums[m + 1] == 2**m
 
@@ -285,26 +299,28 @@ class TestCentreOutRow:
         exact._binomial_prefix_sums.cache_clear()
         runs_test(seq)
         binomial_test(seq)
-        for m in (n - 1, n):
-            sums = exact._binomial_prefix_sums(m).sums
-            assert sums.count(None) >= 0.9 * len(sums)
-            # Each step between two filled entries is one binomial coefficient.
-            steps = [j for j in range(m + 1) if sums[j] is not None and sums[j + 1] is not None]
-            assert all(sums[j + 1] - sums[j] == comb(m, j) for j in steps)
+        m = n - 1
+        sums = exact._binomial_prefix_sums(m).sums
+        assert sums.count(None) >= 0.9 * len(sums)
+        # Each step between two filled entries is one binomial coefficient.
+        steps = [j for j in range(m + 1) if sums[j] is not None and sums[j + 1] is not None]
+        assert all(sums[j + 1] - sums[j] == comb(m, j) for j in steps)
 
     def test_constant_sequence_fills_the_whole_row(self):
         n = 5000
         exact._binomial_prefix_sums.cache_clear()
         assert runs_test(BinarySequence.from_int(0, n)).p == Fraction(2, 2**n)
         assert binomial_test(BinarySequence.from_int(0, n)).p == Fraction(1, 2**n)
-        for m in (n - 1, n):
-            sums = exact._binomial_prefix_sums(m).sums
-            assert None not in sums
-            assert sums[:65] == [_comb_sum(m, 0, j - 1) for j in range(65)]
+        m = n - 1
+        sums = exact._binomial_prefix_sums(m).sums
+        assert None not in sums
+        assert sums[:65] == [_comb_sum(m, 0, j - 1) for j in range(65)]
 
     def test_concurrent_fills_of_one_cold_row(self):
         m, rounds, workers = 2047, 12, 8
-        reference = _comb_prefix_sums(m)
+        n = m + 1
+        for low in (0, 1):
+            _comb_prefix_sums(n - low)  # the oracle, built before any thread starts
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -317,14 +333,15 @@ class TestCentreOutRow:
                     rng = random.Random(seed)
                     together.wait()
                     for _ in range(60):
-                        lo = rng.randint(0, m)
-                        hi = rng.randint(lo, m)
+                        low = rng.randint(0, 1)
+                        lo = rng.randint(low, n)
+                        hi = rng.randint(lo, n)
                         try:
-                            count = exact.binomial_count_between(m, lo, hi)
+                            count = exact.binomial_count_between(n, lo, hi, low)
                         except Exception as exc:  # a thread's exception would not reach the test
                             count = exc
-                        if count != reference[hi + 1] - reference[lo]:
-                            wrong.append((lo, hi, count))
+                        if count != _law_count(n, lo, hi, low):
+                            wrong.append((lo, hi, low, count))
 
                 threads = [threading.Thread(target=ask, args=(workers * round_ + i,)) for i in range(workers)]
                 for t in threads:
@@ -338,6 +355,43 @@ class TestCentreOutRow:
             sys.setswitchinterval(interval)
 
 
+class TestOneRowPerLength:
+    """Both null laws at length n are read from row n - 1 alone."""
+
+    @staticmethod
+    def _check_values(n: int, values) -> None:
+        for test, low in ((RUNS, 1), (BINOMIAL, 0)):
+            for v in values:
+                if low <= v <= n:
+                    assert statistic_count(test, n, v) == comb(n - low, v - low) << low, (test, n, v)
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_every_value_and_tail_of_both_laws(self, n):
+        self._check_values(n, range(n + 1))
+        for low in (0, 1):
+            for v in range(low, n + 1):
+                lower = sum(comb(n - low, j - low) for j in range(low, v + 1)) << low
+                upper = sum(comb(n - low, j - low) for j in range(v, n + 1)) << low
+                assert exact.binomial_count_between(n, low, v, low) == lower, (n, v, low)
+                assert exact.binomial_count_between(n, v, n, low) == upper, (n, v, low)
+
+    @pytest.mark.parametrize("n", [2047, 2048, 4999, 5000])
+    def test_ends_and_centre_of_long_laws(self, n):
+        centre = n // 2
+        self._check_values(n, [0, 1, 2, centre - 1, centre, centre + 1, n - 1, n])
+        for low in (0, 1):
+            # v = low and v = n read the two fixed entries, S(-1) and S(m + 2), when low = 0.
+            assert exact.binomial_count_between(n, low, n, low) == 2**n
+            for v in (low, low + 1, low + 2):
+                lower = sum(comb(n - low, j - low) for j in range(low, v + 1)) << low
+                assert exact.binomial_count_between(n, low, v, low) == lower, (n, v, low)
+            for v in (n - 2, n - 1, n):
+                upper = sum(comb(n - low, j - low) for j in range(v, n + 1)) << low
+                assert exact.binomial_count_between(n, v, n, low) == upper, (n, v, low)
+            around = sum(comb(n - low, j - low) for j in range(centre - 1, centre + 2)) << low
+            assert exact.binomial_count_between(n, centre - 1, centre + 1, low) == around, (n, low)
+
+
 @pytest.fixture
 def comb_calls(monkeypatch):
     """The lengths ``exact`` passes to math.comb while the test runs."""
@@ -346,29 +400,28 @@ def comb_calls(monkeypatch):
     return calls
 
 
+def _cold_verdict_pair(seq, comb_calls) -> None:
+    """A cold runs_test and binomial_test build row n - 1 alone, with one math.comb."""
+    cached = exact._binomial_prefix_sums
+    cached.cache_clear()
+    runs_test(seq)
+    binomial_test(seq)
+    assert comb_calls == [seq.n - 1]
+    assert cached.cache_info().currsize == 1
+    hits = cached.cache_info().hits
+    cached(seq.n - 1)
+    assert cached.cache_info().hits == hits + 1
+
+
 class TestCentralBinomial:
-    """A row one step from the last one built derives C(m, m // 2) without math.comb."""
+    """A verdict pair at a new length pays one math.comb, the centre of its one row."""
 
-    @pytest.mark.parametrize("lengths", [range(301), range(300, -1, -1)], ids=["upward", "downward"])
-    def test_walks_call_comb_at_most_once(self, lengths, comb_calls):
-        for m in lengths:
-            assert exact._central_binomial(m) == comb(m, m // 2), m
-        assert len(comb_calls) <= 1
+    def test_one_comb_per_verdict_pair(self, comb_calls):
+        _cold_verdict_pair(BinarySequence.from_int(random.Random(2047).getrandbits(2048), 2048), comb_calls)
 
-    def test_jumps_and_steps(self, comb_calls):
-        rng = random.Random(300)
-        m = rng.randint(0, 300)
-        for _ in range(3000):
-            m = min(300, max(0, m + rng.choice([-1, 1, 0, rng.randint(-300, 300)])))
-            assert exact._central_binomial(m) == comb(m, m // 2), m
-
-    def test_one_comb_per_verdict_pair(self, monkeypatch, comb_calls):
-        seq = BinarySequence.from_int(random.Random(2047).getrandbits(2048), 2048)
-        exact._binomial_prefix_sums.cache_clear()
-        monkeypatch.setattr(exact, "_last_centre", (0, 1))
-        runs_test(seq)  # row 2047
-        binomial_test(seq)  # row 2048, its centre derived from row 2047's
-        assert comb_calls == [2047]
+    @pytest.mark.parametrize("n", [1, 2, 9, 4999, 5000])
+    def test_cold_verdict_pair_builds_row_n_minus_1_alone(self, n, comb_calls):
+        _cold_verdict_pair(BinarySequence.from_int(random.Random(n).getrandbits(n), n), comb_calls)
 
 
 class TestProbabilityHelpers:
@@ -439,6 +492,35 @@ class TestProbabilityHelpers:
         with pytest.raises(ValueError):
             as_probability(Fraction(-1, 2))
         assert as_probability(1) == 1
+
+    def test_parse_probability_refuses_what_a_report_cannot_render(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_probability(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+        for text in (f"1e-{limit}", f"9.99e-{limit - 1}"):
+            with pytest.raises(ValueError, match=f"cannot parse probability from '{text}'"):
+                parse_probability(text)
+            assert parse_rational(text) == Fraction(text)
+        sys.set_int_max_str_digits(0)  # no limit
+        try:
+            assert parse_probability(f"1e-{limit}") == Fraction(1, 10**limit)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_exact_decimals_of_powers_of_two_and_five(self):
+        for a in range(12):
+            for b in range(12):
+                d = 2**a * 5**b
+                for k in {1, 3, d - 1, d, 7 * d + 1}:
+                    p = Fraction(k, d)
+                    rendered = exact_decimal_string(p)
+                    assert Fraction(Decimal(rendered)) == p, (k, d)
+                    assert "." not in rendered or not rendered.endswith("0"), (k, d)
+
+    def test_exact_decimal_of_a_power_of_five_beyond_the_digit_limit(self):
+        p = Fraction(1, 5**4400)
+        rendered = exact_decimal_string(p)
+        assert Fraction(Decimal(rendered)) == p
+        assert rendered.startswith("0.") and not rendered.endswith("0")
 
     def test_decimal_renderings(self):
         assert decimal_string(Fraction(186, 512)) == "0.363"

@@ -22,6 +22,7 @@ from randaudit import (
     SourceModel,
     TWO_SIDED_DOUBLED,
     apply_relabeling,
+    as_probability,
     RelabelMask,
     binomial_test,
     likelihood,
@@ -168,6 +169,31 @@ class TestPosteriorOdds:
     def test_prior_must_be_positive(self):
         with pytest.raises(ValueError):
             posterior_odds(Fraction(0), SourceModel.fair(), parse_sequence("H"))
+
+
+# The library calls that take an exact rational as text, each as a function of that text.
+TEXT_ROUTES = {
+    "as_probability": as_probability,
+    "SourceModel.biased": lambda text: SourceModel.biased(text).p,
+    "posterior_odds": lambda text: posterior_odds(text, SourceModel.fair(), parse_sequence("HT")),
+}
+
+
+@pytest.mark.parametrize("route", TEXT_ROUTES.values(), ids=TEXT_ROUTES.keys())
+class TestTextRoutes:
+    @pytest.mark.parametrize("text", ["1e-9999999", "1e-\u0669\u0669\u0669\u0669\u0669\u0669\u0669"])
+    def test_huge_exponent_is_refused_fast(self, route, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent of magnitude above"):
+            route(text)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("text", ["3/4", " 0.05 ", "1e-3", "\u0661/\u0662"])
+    def test_ordinary_text_reads_as_fraction_reads_it(self, route, text):
+        assert route(text) == Fraction(text)
+
+    def test_dyadic_text(self, route):
+        assert route("1/2^10") == Fraction(1, 1024)
 
 
 # ---------------------------------------------------------------------------
