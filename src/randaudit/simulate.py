@@ -73,12 +73,10 @@ class SourceModel(_SourceFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "SourceModel":
-        model = super().__new__(cls, *args, **kwargs)
-        if model.kind not in (FAIR, BIASED, MARKOV):
-            raise ValueError(f"unknown source kind {model.kind!r}")
-        as_probability(model.p)
-        as_probability(model.stay)
-        return model
+        kind, p, stay = super().__new__(cls, *args, **kwargs)
+        if kind not in (FAIR, BIASED, MARKOV):
+            raise ValueError(f"unknown source kind {kind!r}")
+        return super().__new__(cls, kind, as_probability(p), as_probability(stay))
 
     @classmethod
     def _make(cls, fields) -> "SourceModel":
@@ -91,11 +89,11 @@ class SourceModel(_SourceFields):
 
     @classmethod
     def biased(cls, p: Fraction) -> "SourceModel":
-        return cls(BIASED, p=as_probability(p))
+        return cls(BIASED, p=p)
 
     @classmethod
     def sticky_markov(cls, stay: Fraction) -> "SourceModel":
-        return cls(MARKOV, stay=as_probability(stay))
+        return cls(MARKOV, stay=stay)
 
     def spec_string(self) -> str:
         if self.kind == FAIR:

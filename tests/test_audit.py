@@ -1,12 +1,14 @@
 """Relabeling audits: reversal quartet, flip search, spectrum, invariance."""
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randaudit import (
     BINOMIAL,
@@ -31,6 +33,7 @@ from randaudit import (
     statistic_pvalue,
     verdict_under_relabeling,
 )
+from randaudit.audit import _runs_reversal
 
 ALPHA = Fraction(1, 20)
 
@@ -297,20 +300,97 @@ class TestNullInvariance:
         assert payload == {"n": 3, "masks_checked": 8, "passed": True}
 
 
-class TestFlipSearchTableWidth:
-    @pytest.mark.parametrize("n", [126, 127, 253, 254, 255])
-    def test_narrow_table_matches_int64(self, n, monkeypatch):
-        # The DP table takes the narrowest unsigned type holding n + 2;
-        # n = 253 is the longest served by uint8.  The same search with
-        # int64 entries is the reference.
+def _reference_runs_reversal(bits: tuple[int, ...], targets: list[int]) -> tuple[bool, ...]:
+    """The run-count reversal DP on a numpy table of shape (n, 2, n + 1).
+
+    ``cost[i, c, b]`` is the fewest flips among positions after i, given
+    m[i] = c and b breaks before position i, that end on a target run
+    count (n + 1 if none does); the table uses the narrowest unsigned
+    type that holds n + 2.  Kept as the reference for the lane-packed DP.
+    """
+    n = len(bits)
+    inf = n + 1
+    dtype = np.min_scalar_type(n + 2)
+    cost = np.full((n, 2, n + 1), inf, dtype=dtype)
+    cost[n - 1, :, [r - 1 for r in targets]] = 0
+    flip_cost = np.array([[0], [1]], dtype=dtype)
+    for i in range(n - 2, -1, -1):
+        # Row c of ``keep`` continues with m[i + 1] = c ^ edge, which adds
+        # no break; the reversed rows continue with the other bit and add one.
+        keep = cost[i + 1] + flip_cost
+        if bits[i] ^ bits[i + 1]:
+            keep = keep[::-1]
+        cost[i, :, :n] = np.minimum(keep[:, :n], keep[::-1, 1:])
+    m = 0 if cost[0, 0, 0] <= 1 + cost[0, 1, 0] else 1
+    flips = [m]
+    remaining = int(cost[0, m, 0])
+    breaks = 0
+    for i in range(n - 1):
+        x = bits[i] ^ bits[i + 1] ^ m  # break added if m[i + 1] = 0
+        m = 0 if cost[i + 1, 0, breaks + x] == remaining else 1
+        breaks += x ^ m
+        remaining -= m
+        flips.append(m)
+    return tuple(bool(f) for f in flips)
+
+
+def _run_count_targets(seq: BinarySequence, alpha: Fraction, convention: str) -> list[int]:
+    """Run counts whose verdict is the opposite of the observed one."""
+    rejected = set(rejection_set(RUNS, seq.n, alpha, convention).statistic_values)
+    observed = runs_test(seq, alpha).statistic in rejected
+    return [r for r in range(1, seq.n + 1) if (r in rejected) != observed]
+
+
+class TestRunsReversalAgainstReference:
+    # Lanes are (n + 2).bit_length() + 1 bits wide, so each pair of
+    # lengths straddles a change of width: n + 2 = 63 | 64, 127 | 128, ...
+    @pytest.mark.parametrize("n", [61, 62, 125, 126, 253, 254, 509, 510, 1000])
+    def test_matches_reference_at_lane_widths(self, n):
         rng = random.Random(n)
         seqs = [BinarySequence((0,) * n), BinarySequence(tuple(i % 2 for i in range(n)))]
-        seqs += [BinarySequence(tuple(rng.randint(0, 1) for _ in range(n))) for _ in range(3)]
+        seqs += [BinarySequence(tuple(rng.randint(0, 1) for _ in range(n))) for _ in range(2)]
         seqs += [BinarySequence(tuple(int(rng.random() < 0.1) for _ in range(n))) for _ in range(2)]
+        found = 0
         for alpha in (Fraction(1, 1000), ALPHA, Fraction(1, 3)):
-            narrow = [find_flipping_mask(seq, RUNS, alpha) for seq in seqs]
-            with monkeypatch.context() as patch:
-                patch.setattr(np, "min_scalar_type", lambda value: np.dtype(np.int64))
-                wide = [find_flipping_mask(seq, RUNS, alpha) for seq in seqs]
-            assert [r and r.mask for r in narrow] == [r and r.mask for r in wide]
-            assert any(r is not None for r in narrow)
+            for convention in (ONE_SIDED, TWO_SIDED_DOUBLED):
+                for seq in seqs:
+                    result = find_flipping_mask(seq, RUNS, alpha, convention)
+                    targets = _run_count_targets(seq, alpha, convention)
+                    if not targets:
+                        assert result is None
+                        continue
+                    assert result is not None and result.method == "dp"
+                    assert result.mask.flips == _reference_runs_reversal(seq.bits, targets)
+                    found += 1
+        assert found
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.data())
+    def test_any_target_set_matches_reference(self, n, data):
+        bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        targets = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+        assert _runs_reversal(bits, targets) == _reference_runs_reversal(bits, targets)
+
+    def test_constant_stream_at_the_length_limit(self):
+        # One run is rejected; the nearest accepted run count at n = 5000 is
+        # 2,442, that is 2,441 breaks, and one flip adds at most two.
+        seq = BinarySequence((0,) * 5000)
+        result = find_flipping_mask(seq, RUNS, ALPHA)
+        assert result is not None and result.method == "dp"
+        assert result.mask.flip_count() == 1221
+        assert result.audit.flipped
+
+    def test_rows_are_triangular(self):
+        # Only the rows with m[i] = 0 are kept, and row i holds lanes
+        # 0..i, so the table takes about n^2 w / 2 bits; full-width rows
+        # would take twice that.
+        n = 2000
+        w = (n + 2).bit_length() + 1
+        bits = tuple(random.Random(1).randint(0, 1) for _ in range(n))
+        tracemalloc.start()
+        try:
+            _runs_reversal(bits, [1, n])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * n * n * w / 8

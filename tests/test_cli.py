@@ -378,6 +378,8 @@ WITHOUT_NUMPY = [
     ["relabel", "--seq", "HHHHHTTTT", "--x-set", "1,4,9"],
     ["audit", *SEQ, "--x-set", "1,4,9", "--test", "runs", "--emit-witness"],
     ["flip-search", *SEQ, "--test", "binomial"],
+    ["flip-search", *SEQ, "--test", "runs"],
+    ["flip-search", "--seq", "HHTHTTTHHT" * 30, "--test", "runs"],
     ["spectrum", *SEQ, "--test", "runs"],
     ["distribution", "--n", "9"],
     ["rejection-set", "--test", "runs", "--n", "9"],
@@ -388,9 +390,8 @@ WITHOUT_NUMPY = [
     ["posterior", *SEQ, "--model", "biased:p=3/5"],
     ["reproduce-paper"],
 ]
-# The DP and the enumeration oracle are numpy's users.
+# The enumeration oracle is numpy's user.
 WITH_NUMPY = [
-    ["flip-search", *SEQ, "--test", "runs"],
     ["distribution", "--n", "9", "--oracle"],
 ]
 

@@ -27,6 +27,7 @@ from randaudit import (
     TestVerdict as Verdict,  # renamed so that pytest does not collect it
     check_null_invariance,
     find_flipping_mask,
+    likelihood,
     mask_from_index_set,
     parse_sequence,
     rejection_rate,
@@ -35,7 +36,7 @@ from randaudit import (
     runs_test,
     verdict_under_relabeling,
 )
-from randaudit.simulate import BIASED
+from randaudit.simulate import BIASED, MARKOV
 from randaudit.verdicts import STATISTICS, Statistic
 
 SEQ = "HTTHTHHHT"
@@ -197,3 +198,26 @@ class TestSourceModelChecksEveryPath:
     def test_good_replacement_is_kept(self):
         model = SourceModel.fair()._replace(kind=BIASED, p=Fraction(1, 3))
         assert type(model) is SourceModel and model == SourceModel.biased(Fraction(1, 3))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SourceModel(BIASED, "1/3"),
+            lambda: SourceModel(BIASED, p="1/3"),
+            lambda: SourceModel(kind=BIASED, p="1/3"),
+        ],
+        ids=["positional", "keyword", "all-keyword"],
+    )
+    def test_text_fields_are_stored_as_fractions(self, build):
+        model = build()
+        assert model == SourceModel.biased(Fraction(1, 3))
+        assert type(model.p) is Fraction and type(model.stay) is Fraction
+
+    def test_replacement_text_is_converted(self):
+        model = SourceModel.biased(Fraction(1, 3))._replace(p="2/5")
+        assert model == SourceModel.biased(Fraction(2, 5)) and type(model.p) is Fraction
+
+    def test_likelihood_of_text_built_models_is_exact(self):
+        seq = parse_sequence("HT")
+        assert likelihood(SourceModel(BIASED, p="1/3"), seq) == Fraction(2, 9)
+        assert likelihood(SourceModel(MARKOV, stay="3/4"), seq) == Fraction(1, 8)
