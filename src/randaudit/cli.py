@@ -33,7 +33,7 @@ from .sequences import (
     mask_from_index_set,
     parse_sequence,
 )
-from .simulate import SourceModel, parse_model, posterior_odds, rejection_rate
+from .simulate import SourceModel, parse_model, posterior_odds, rejection_rate, sample_sequence
 from .verdicts import (
     CONVENTIONS,
     ONE_SIDED,
@@ -241,7 +241,8 @@ def _simulate(got: dict) -> tuple[dict, list[str]]:
         f"rejected {estimate.rejected}/{estimate.trials} (rate {estimate.rate:.5f}, se {estimate.standard_error:.5f})",
         f"exact size under the fair null: {_pretty_prob(estimate.exact_fair_size)}",
     ]
-    return {"results": [estimate.as_dict(), {"first_draw": estimate.first_draw.text()}]}, lines
+    trial_zero = sample_sequence(got["model"], got["n"], got["seed"])
+    return {"results": [estimate.as_dict(), {"first_draw": trial_zero.text()}]}, lines
 
 
 def _posterior(got: dict) -> tuple[dict, list[str]]:

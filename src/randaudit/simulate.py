@@ -28,9 +28,10 @@ Markov source draws a fair first plane and XORs switch planes into it;
 the switch planes of any source are the XORs of adjacent bit planes.
 
 Rejections are tallied on the planes as well: the column sums are kept
-bit-sliced, one int per binary digit of the sum, and compared with the
-rejected statistic values lane-parallel, so sampling and tallying use
-the standard library alone.
+bit-sliced, one int per binary digit of the sum, and the lanes are split
+on those digits into one group per sum, whose popcounts are added over
+the rejected statistic values, so sampling and tallying use the standard
+library alone.
 """
 
 from __future__ import annotations
@@ -171,34 +172,16 @@ def _bit_planes(model: SourceModel, n: int, seed: int, block: int) -> list[int]:
     return [_bernoulli_plane(rng, p) for _ in range(n)]
 
 
-def _at_most(counter: list[int], t: int) -> int:
-    """Lanes whose bit-sliced ``counter`` value is at most ``t``.
-
-    Compares the value with t bit by bit from the top: ``below`` holds
-    the lanes already known smaller, ``equal`` those matching t so far.
-    """
-    if t < 0:
-        return 0
-    if t >> len(counter):
-        return _ALL_LANES
-    below, equal = 0, _ALL_LANES
-    for i in range(len(counter) - 1, -1, -1):
-        if t >> i & 1:
-            below |= equal & ~counter[i]
-            equal &= counter[i]
-        else:
-            equal &= ~counter[i]
-    return below | equal
-
-
 def _count_rejected(planes: list[int], rejected_sums: tuple[int, ...], lanes: int) -> int:
     """How many of the first ``lanes`` lanes have a column sum over ``planes`` in ``rejected_sums``.
 
     The column sums are kept bit-sliced: ``counter[i]`` holds bit i of
     every lane's running sum, in m.bit_length() ints for m planes, and
-    each plane is added with a ripple carry.  Each maximal run lo..hi of
-    consecutive rejected sums then selects the lanes at most hi and not
-    at most lo - 1, so values outside 0..m select nothing.
+    each plane is added with a ripple carry.  The lanes are then split
+    on each counter bit, top bit first, until ``by_sum`` pairs each sum
+    s that some lane has with exactly the lanes whose sum is s.  Empty
+    halves are dropped, so the split costs in proportion to the spread
+    of the sums, not to 2^bits, and a value no lane has selects nothing.
     """
     counter = [0] * len(planes).bit_length()
     for plane in planes:
@@ -206,14 +189,11 @@ def _count_rejected(planes: list[int], rejected_sums: tuple[int, ...], lanes: in
         while plane:
             counter[i], plane = counter[i] ^ plane, counter[i] & plane
             i += 1
-    hits = 0
-    wanted = sorted(set(rejected_sums))
-    start = 0
-    for j, v in enumerate(wanted):
-        if j + 1 == len(wanted) or wanted[j + 1] != v + 1:  # v ends a run begun at wanted[start]
-            hits |= _at_most(counter, v) & ~_at_most(counter, wanted[start] - 1)
-            start = j + 1
-    return (hits & ((1 << lanes) - 1)).bit_count()
+    by_sum = [(0, (1 << lanes) - 1)]
+    for bit in reversed(counter):
+        by_sum = [(2 * s + b, half) for s, g in by_sum for b, half in ((0, g ^ (g & bit)), (1, g & bit)) if half]
+    rejected = set(rejected_sums)
+    return sum(g.bit_count() for s, g in by_sum if s in rejected)
 
 
 def sample_sequence(model: SourceModel, n: int, seed: int) -> BinarySequence:
@@ -221,12 +201,7 @@ def sample_sequence(model: SourceModel, n: int, seed: int) -> BinarySequence:
     if n < 1:
         raise ValueError("length must be at least 1")
     _check_work(BLOCK_TRIALS, n)  # the whole first block is drawn
-    return _lane_zero(_bit_planes(model, n, seed, 0))
-
-
-def _lane_zero(planes: list[int]) -> BinarySequence:
-    """The sequence in lane 0 of a block's bit planes."""
-    return BinarySequence.from_int(pack([plane & 1 for plane in planes]), len(planes))
+    return BinarySequence.from_int(pack([plane & 1 for plane in _bit_planes(model, n, seed, 0)]), n)
 
 
 class RejectionRateEstimate(NamedTuple):
@@ -239,7 +214,6 @@ class RejectionRateEstimate(NamedTuple):
     seed: int
     rejected: int
     exact_fair_size: Fraction  # exact size of the test under the fair null
-    first_draw: BinarySequence  # trial 0, the draw sample_sequence returns; not reported by as_dict
 
     @property
     def rate(self) -> float:
@@ -284,9 +258,9 @@ def rejection_rate(
     the planes, the bit planes for the head count and the switch planes
     (plus one) for the run count, tallied bit-sliced in the stdlib by
     :func:`_count_rejected` against the rejected statistic values.
-    Lane 0 of block 0 is kept as ``first_draw``, the sequence
-    :func:`sample_sequence` returns.  ``trials * n`` above
-    SIMULATION_WORK_LIMIT is refused before anything is drawn.
+    Trial 0 is the sequence :func:`sample_sequence` returns.
+    ``trials * n`` above SIMULATION_WORK_LIMIT is refused before
+    anything is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -299,8 +273,6 @@ def rejection_rate(
     hits = 0
     for block in range(-(-trials // BLOCK_TRIALS)):
         planes = _bit_planes(model, n, seed, block)
-        if block == 0:
-            first_draw = _lane_zero(planes)
         if test == RUNS:  # R - 1 counts the switches
             planes = [a ^ b for a, b in zip(planes, planes[1:])]
         hits += _count_rejected(planes, rejected_sums, min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS))
@@ -314,7 +286,6 @@ def rejection_rate(
         seed=seed,
         rejected=hits,
         exact_fair_size=region.exact_size,
-        first_draw=first_draw,
     )
 
 

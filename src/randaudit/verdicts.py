@@ -33,7 +33,6 @@ from itertools import combinations
 from typing import Callable, Iterator, NamedTuple
 
 from .exact import (
-    ENUMERATION_CAP,
     CapExceededError,
     RunsDistribution,
     as_probability,
@@ -79,10 +78,11 @@ DEFAULT_ALPHA = Fraction(1, 20)
 # An explicit rejection set lists at most this many sequences.  The count
 # is the exact size's numerator, known before any sequence is built.
 # Listing all 2^22 sequences of n = 22 (runs, alpha = 1/2) took 30 s and
-# 2.2 GB.  A listing also holds at most LISTING_LIMIT * ENUMERATION_CAP
-# symbols, 2^16 sequences of length 24: 20,000 of length 5000 took 8.8 s
-# and 418 MB to list and render.
+# 2.2 GB.
 LISTING_LIMIT = 1 << 16
+# A listing also holds at most this many symbols, 2^16 sequences of
+# length 24: 20,000 of length 5000 took 8.8 s and 418 MB to list and render.
+_LISTING_SYMBOL_LIMIT = LISTING_LIMIT * 24
 
 
 class TestVerdict(NamedTuple):
@@ -304,9 +304,9 @@ def rejection_set(
     The exact size is the null probability of attaining any rejected
     value.  With ``include_sequences`` the sequences themselves are
     listed in packed order, at most LISTING_LIMIT of them and at most
-    LISTING_LIMIT * ENUMERATION_CAP symbols; they are built from the
-    rejected statistic values, so the work is proportional to the
-    listing, not to 2^n.
+    LISTING_LIMIT * 24 symbols; they are built from the rejected
+    statistic values, so the work is proportional to the listing, not
+    to 2^n.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
@@ -318,10 +318,8 @@ def rejection_set(
     if include_sequences:
         if mass > LISTING_LIMIT:
             raise CapExceededError(f"explicit listing of {mass} sequences exceeds the limit {LISTING_LIMIT}")
-        if mass * n > LISTING_LIMIT * ENUMERATION_CAP:
-            raise CapExceededError(
-                f"explicit listing of {mass * n} symbols exceeds the limit {LISTING_LIMIT * ENUMERATION_CAP}"
-            )
+        if mass * n > _LISTING_SYMBOL_LIMIT:
+            raise CapExceededError(f"explicit listing of {mass * n} symbols exceeds the limit {_LISTING_SYMBOL_LIMIT}")
         listed = sorted(x for v in values for x in stat.attaining(n, v))
         sequences = tuple(BinarySequence.from_int(x, n) for x in listed)
     return RejectionSet(

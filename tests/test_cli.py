@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from randaudit import LISTING_LIMIT, SIMULATION_WORK_LIMIT, TAIL_LENGTH_LIMIT, runs_test, parse_sequence
+from randaudit import report as report_mod
 from randaudit.cli import build_parser, run_cli
 
 
@@ -338,6 +339,26 @@ class TestReproduceCommand:
         assert any("Y = {2,3,5,9}" in s for s in sections)
         checks = next(r for r in report["results"] if r["section"] == "checks")
         assert all(row["ok"] for row in checks["rows"])
+
+    def test_a_deviation_fails_the_run(self, capsys, monkeypatch):
+        # Sequence A's run-count p made 1/512 too large: 187/512 renders 0.365.
+        seq_a = parse_sequence(report_mod._SEQ_A)
+
+        def skewed(seq, alpha):
+            verdict = runs_test(seq, alpha)
+            return verdict._replace(p=verdict.p + Fraction(1, 512)) if seq == seq_a else verdict
+
+        monkeypatch.setattr(report_mod, "runs_test", skewed)
+        code, out, _ = invoke(capsys, "reproduce-paper")
+        assert code == 1
+        result = json.loads(out)
+        assert result["deviations"] == ["runs(A) p", "runs(A) p rendering"]
+        checks = next(r for r in result["results"] if r["section"] == "checks")
+        assert [row["name"] for row in checks["rows"] if not row["ok"]] == result["deviations"]
+        code, out, _ = invoke(capsys, "reproduce-paper", "--pretty")
+        assert code == 1
+        assert "  [DEV] runs(A) p\n" in out
+        assert out.rstrip("\n").endswith("\ndeviations: runs(A) p, runs(A) p rendering")
 
 
 class TestPosteriorRendering:

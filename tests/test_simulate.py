@@ -297,14 +297,6 @@ class TestBlockSampler:
             for test, verdict in ((RUNS, runs_test(seq, ALPHA)), (BINOMIAL, binomial_test(seq, ALPHA))):
                 assert rejection_rate(model, test, 12, ALPHA, trials=1, seed=seed).rejected == verdict.rejected
 
-    @pytest.mark.parametrize("spec", MODELS)
-    @pytest.mark.parametrize("test", [RUNS, BINOMIAL])
-    def test_first_draw_is_sample_sequence(self, spec, test):
-        model = parse_model(spec)
-        for seed in range(5):
-            est = rejection_rate(model, test, 12, ALPHA, trials=BLOCK_TRIALS + 1, seed=seed)
-            assert est.first_draw == sample_sequence(model, 12, seed)
-
     @pytest.mark.parametrize("p, planes", [(Fraction(0), 0), (Fraction(1), 0), (Fraction(1, 2), 1), (Fraction(3, 8), 3)])
     def test_dyadic_plane_uses_its_digits(self, p, planes):
         rng, ref = random.Random("plane"), random.Random("plane")

@@ -37,3 +37,27 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+# Bad input that no cap is involved in: a plain ValueError, exit 2 through the CLI.
+REFUSALS = [
+    (randaudit.statistic_pvalue, (randaudit.RUNS, 0, 1), "length must be at least 1"),
+    (randaudit.statistic_count, (randaudit.BINOMIAL, 0, 0), "length must be at least 1"),
+    (randaudit.rejection_set, (randaudit.RUNS, 0), "length must be at least 1"),
+    (randaudit.BinarySequence.from_int, (8, 3), "value 8 does not fit in 3 bits"),
+    (randaudit.RelabelMask.from_int, (0, 0), "mask length must be at least 1"),
+    (randaudit.mask_from_index_set, ([], 0), "mask length must be at least 1"),
+    (randaudit.BinarySequence, ((1, 2),), "sequence bits must be 0 or 1"),
+    (randaudit.RelabelMask, ((),), "a mask must cover at least one position"),
+    (randaudit.RelabelMask, ((True, 2),), "mask entries must be booleans"),
+    (randaudit.runs_distribution(3).count, (0,), r"run count 0 out of range 1\.\.3"),
+    (randaudit.enumerate_runs_distribution, (0,), "length must be at least 1"),
+    (randaudit.check_null_invariance, (0,), "length must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("func, args, message", REFUSALS, ids=[f"{f.__qualname__}{args}" for f, args, _ in REFUSALS])
+def test_bad_input_is_a_plain_value_error(func, args, message):
+    with pytest.raises(ValueError, match=message) as refused:
+        func(*args)
+    assert not isinstance(refused.value, exact.CapExceededError)

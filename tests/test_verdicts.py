@@ -149,7 +149,7 @@ class TestRejectionSets:
         monkeypatch.setitem(verdicts.STATISTICS, RUNS, verdicts.STATISTICS[RUNS]._replace(attaining=unbuilt))
         alpha = Fraction(1, 2**985)
         assert rejection_set(RUNS, 1000, alpha).statistic_values == (1, 2, 999, 1000)
-        with pytest.raises(CapExceededError, match="symbols"):
+        with pytest.raises(CapExceededError, match="4000000 symbols exceeds the limit 1572864"):
             rejection_set(RUNS, 1000, alpha, include_sequences=True)
 
     def test_explicit_listing_limit(self):
