@@ -51,7 +51,6 @@ from typing import Iterator, NamedTuple
 __all__ = [
     "ENUMERATION_CAP",
     "CapExceededError",
-    "ExactProb",
     "TAIL_LENGTH_LIMIT",
     "RunsDistribution",
     "as_probability",
@@ -60,11 +59,7 @@ __all__ = [
     "exact_decimal_string",
     "parse_probability",
     "parse_rational",
-    "sequence_probability",
 ]
-
-# Exact probabilities are plain Fractions; the alias marks intent.
-ExactProb = Fraction
 
 # Full enumeration of {0,1}^n is refused above this length.  It must stay
 # at or below 32: the kernel packs each sequence in a uint32.
@@ -189,13 +184,6 @@ def exact_decimal_string(p: Fraction) -> str:
     digits = str(Decimal(scaled)).rjust(k + 1, "0")
     text = f"{digits[:-k]}.{digits[-k:]}"
     return text.rstrip("0").rstrip(".")
-
-
-def sequence_probability(n: int) -> Fraction:
-    """Probability 2^-n of any single length-n sequence under the null."""
-    if n < 1:
-        raise ValueError("length must be at least 1")
-    return Fraction(1, 1 << n)
 
 
 def check_tail_length(n: int) -> None:

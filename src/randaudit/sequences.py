@@ -171,10 +171,6 @@ class BinarySequence(_Packed):
         """
         return _digits(self.value, self.n).translate(_LOWER if lower else _UPPER)
 
-    def as_int(self) -> int:
-        """The packed bits, position 1 in the low bit."""
-        return self.value
-
     @classmethod
     def from_int(cls, value: int, n: int, vocab: str = "heads/tails") -> "BinarySequence":
         seq = _packed(cls, "sequence", value, n)
@@ -234,9 +230,6 @@ class RelabelMask(_Packed):
     def flip_string(self) -> str:
         return _digits(self.value, self.n)
 
-    def as_int(self) -> int:
-        return self.value
-
     def flip_count(self) -> int:
         return self.value.bit_count()
 
@@ -274,6 +267,10 @@ def mask_from_index_set(indices: Iterable[int], n: int) -> RelabelMask:
         raise ValueError("mask length must be at least 1")
     kept = set()
     for i in indices:
+        try:
+            i = index(i)
+        except TypeError:
+            raise ValueError(f"index {i!r} is not an integer") from None
         if not 1 <= i <= n:
             raise ValueError(f"index {i} out of range 1..{n}")
         kept.add(i)

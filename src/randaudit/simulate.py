@@ -60,16 +60,17 @@ __all__ = [
 FAIR = "fair"
 BIASED = "biased"
 MARKOV = "markov"
+_HALF = Fraction(1, 2)
 
 
 class _SourceFields(NamedTuple):
     kind: str
-    p: Fraction = Fraction(1, 2)  # per-trial chance of the first symbol (biased)
-    stay: Fraction = Fraction(1, 2)  # chance of repeating the previous outcome (markov)
+    p: Fraction = _HALF  # per-trial chance of the first symbol (biased)
+    stay: Fraction = _HALF  # chance of repeating the previous outcome (markov)
 
 
 class SourceModel(_SourceFields):
-    """A source of binary outcomes with exact-rational parameters."""
+    """A source of binary outcomes with exact-rational parameters; one its kind does not read must be 1/2."""
 
     __slots__ = ()
 
@@ -77,7 +78,12 @@ class SourceModel(_SourceFields):
         kind, p, stay = super().__new__(cls, *args, **kwargs)
         if kind not in (FAIR, BIASED, MARKOV):
             raise ValueError(f"unknown source kind {kind!r}")
-        return super().__new__(cls, kind, as_probability(p), as_probability(stay))
+        p, stay = as_probability(p), as_probability(stay)
+        if p != _HALF and kind != BIASED:
+            raise ValueError(f"a {kind} source takes no p")
+        if stay != _HALF and kind != MARKOV:
+            raise ValueError(f"a {kind} source takes no stay")
+        return super().__new__(cls, kind, p, stay)
 
     @classmethod
     def _make(cls, fields) -> "SourceModel":
@@ -152,10 +158,10 @@ def _bernoulli_plane(rng: random.Random, prob: Fraction) -> int:
         u = rng.getrandbits(BLOCK_TRIALS)
         if num >= den:  # digit 1: lanes reading 0 have U < prob
             num -= den
-            hits |= live & ~u
+            hits |= live ^ (live & u)  # live & ~u, without a negative int
             live &= u
         else:  # digit 0: lanes reading 1 have U > prob
-            live &= ~u
+            live &= u ^ _ALL_LANES
     return hits
 
 
@@ -164,12 +170,11 @@ def _bit_planes(model: SourceModel, n: int, seed: int, block: int) -> list[int]:
     rng = random.Random(f"{seed}:{block}")
     if model.kind == MARKOV:
         switch = 1 - model.stay
-        planes = [_bernoulli_plane(rng, Fraction(1, 2))]
+        planes = [_bernoulli_plane(rng, _HALF)]
         for _ in range(n - 1):
             planes.append(planes[-1] ^ _bernoulli_plane(rng, switch))
         return planes
-    p = Fraction(1, 2) if model.kind == FAIR else model.p
-    return [_bernoulli_plane(rng, p) for _ in range(n)]
+    return [_bernoulli_plane(rng, model.p) for _ in range(n)]
 
 
 def _count_rejected(planes: list[int], rejected_sums: tuple[int, ...], lanes: int) -> int:
@@ -290,16 +295,14 @@ def rejection_rate(
 
 
 def likelihood(model: SourceModel, seq: BinarySequence) -> Fraction:
-    """Exact probability of the sequence under the model."""
-    if model.kind == FAIR:
-        return Fraction(1, 1 << seq.n)
-    if model.kind == BIASED:
+    """Exact probability of the sequence under the model; a fair source is the biased law at p = 1/2."""
+    if model.kind != MARKOV:
         k = count_ones(seq)
         return model.p**k * (1 - model.p) ** (seq.n - k)
     # The first outcome is fair; each of the r - 1 breaks leaves the state
     # and each of the other n - r adjacent pairs stays.
     r = count_runs(seq)
-    return Fraction(1, 2) * (1 - model.stay) ** (r - 1) * model.stay ** (seq.n - r)
+    return _HALF * (1 - model.stay) ** (r - 1) * model.stay ** (seq.n - r)
 
 
 def posterior_odds(prior_odds: Fraction | int | str, alt: SourceModel, seq: BinarySequence) -> Fraction:

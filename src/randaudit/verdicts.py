@@ -52,10 +52,8 @@ __all__ = [
     "TWO_SIDED_DOUBLED",
     "RejectionSet",
     "TestVerdict",
-    "binomial_pvalue",
     "binomial_test",
     "rejection_set",
-    "runs_count_exact",
     "runs_distribution",
     "runs_pvalue",
     "runs_test",
@@ -134,15 +132,10 @@ def runs_pvalue(n: int, r: int, tail: str) -> Fraction:
     return _tail(STATISTICS[RUNS], n, r, tail)
 
 
-def runs_count_exact(n: int, r: int) -> int:
-    """Number of length-n binary sequences with exactly r runs, 2*C(n-1, r-1)."""
-    return _count(STATISTICS[RUNS], n, r, r)
-
-
 def runs_distribution(n: int) -> RunsDistribution:
     """Run-count distribution from the table, for n up to TAIL_LENGTH_LIMIT."""
     check_tail_length(n)
-    return RunsDistribution(n, tuple(runs_count_exact(n, r) for r in range(1, n + 1)))
+    return RunsDistribution(n, tuple(statistic_count(RUNS, n, r) for r in range(1, n + 1)))
 
 
 def _runs_tail(n: int, r: int, convention: str) -> tuple[str, Fraction]:
@@ -166,11 +159,6 @@ def binomial_tail(n: int, k: int, convention: str = ONE_SIDED) -> tuple[str, Fra
     if convention == TWO_SIDED_DOUBLED:
         return "doubled", min(Fraction(1), 2 * p)
     return tail, p
-
-
-def binomial_pvalue(n: int, k: int, convention: str = ONE_SIDED) -> Fraction:
-    """The p-value of :func:`binomial_tail`."""
-    return binomial_tail(n, k, convention)[1]
 
 
 def _with_ones(width: int, k: int) -> Iterator[int]:

@@ -34,8 +34,6 @@ from randaudit import (
     SourceModel,
     TWO_SIDED_DOUBLED,
     apply_relabeling,
-    binomial_pvalue,
-    binomial_test,
     check_null_invariance,
     count_runs,
     decimal_string,
@@ -55,6 +53,8 @@ from randaudit import (
     verdict_under_relabeling,
 )
 from randaudit.cli import run_cli
+
+from oracles import brute_force_minimal
 
 ALPHA = Fraction(1, 20)
 
@@ -92,12 +92,12 @@ def test_c01_runs_pvalues():
 
 def test_c02_binomial_pvalues(capsys):
     with criterion(2, "binomial 1/2 and doubled 2/512 with one-sided 1/512 and caveat"):
-        assert binomial_pvalue(9, 5, ONE_SIDED) == Fraction(1, 2)
-        doubled = binomial_pvalue(9, 0, TWO_SIDED_DOUBLED)
+        assert statistic_pvalue(BINOMIAL, 9, 5, ONE_SIDED)[1] == Fraction(1, 2)
+        doubled = statistic_pvalue(BINOMIAL, 9, 0, TWO_SIDED_DOUBLED)[1]
         assert doubled == Fraction(2, 512)
         assert doubled == Fraction(1, 256) and float(doubled) == 0.00390625
         assert decimal_string(doubled) == "0.004"
-        assert binomial_pvalue(9, 0, ONE_SIDED) == Fraction(1, 512)
+        assert statistic_pvalue(BINOMIAL, 9, 0, ONE_SIDED)[1] == Fraction(1, 512)
         # the reporting surface carries the one-sided value and the caveat
         code = run_cli(["binomial-test", "--seq", "TTTTTTTTT", "--convention", "two-sided-doubled"])
         out = capsys.readouterr().out
@@ -197,20 +197,6 @@ def test_c06_group_and_measure_properties():
                     assert pvalue_spectrum(BinarySequence.from_int(s, n), test) == spectra[tally]
 
 
-def _brute_force_minimal(seq, test, alpha, convention):
-    original = (runs_test(seq, alpha) if test == RUNS else binomial_test(seq, alpha, convention)).rejected
-    best = None
-    for m in range(1 << seq.n):
-        mask = RelabelMask.from_int(m, seq.n)
-        relabeled = apply_relabeling(seq, mask)
-        verdict = runs_test(relabeled, alpha) if test == RUNS else binomial_test(relabeled, alpha, convention)
-        if verdict.rejected != original:
-            key = (mask.flip_count(), mask.flip_string())
-            if best is None or key < best[0]:
-                best = (key, mask)
-    return None if best is None else best[1]
-
-
 def test_c07_minimal_flip_search():
     with criterion(7, "minimize agrees with brute force on 100 seeded cases, n <= 12"):
         rng = random.Random(20260810)
@@ -221,7 +207,7 @@ def test_c07_minimal_flip_search():
             test = rng.choice([RUNS, BINOMIAL])
             convention = rng.choice([ONE_SIDED, TWO_SIDED_DOUBLED])
             result = find_flipping_mask(seq, test, ALPHA, convention, minimize=True)
-            brute = _brute_force_minimal(seq, test, ALPHA, convention)
+            brute = brute_force_minimal(seq, test, ALPHA, convention)
             if brute is None:
                 assert result is None
             else:

@@ -24,7 +24,6 @@ from randaudit import (
     TAIL_LENGTH_LIMIT,
     TWO_SIDED_DOUBLED,
     as_probability,
-    binomial_pvalue,
     binomial_test,
     count_runs,
     decimal_string,
@@ -32,27 +31,26 @@ from randaudit import (
     exact_decimal_string,
     parse_probability,
     parse_rational,
-    runs_count_exact,
     runs_distribution,
     runs_pvalue,
     runs_test,
-    sequence_probability,
     statistic_count,
+    statistic_pvalue,
 )
 
 
 class TestRunsCounts:
     def test_known_values(self):
         # 112 frozen from the brute force over all 512 length-9 sequences.
-        assert runs_count_exact(9, 6) == 112
-        assert runs_count_exact(9, 1) == 2
-        assert runs_count_exact(2, 2) == 2
+        assert statistic_count(RUNS, 9, 6) == 112
+        assert statistic_count(RUNS, 9, 1) == 2
+        assert statistic_count(RUNS, 2, 2) == 2
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            runs_count_exact(5, 0)
+            statistic_count(RUNS, 5, 0)
         with pytest.raises(ValueError):
-            runs_count_exact(5, 6)
+            statistic_count(RUNS, 5, 6)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_literal_oracle_agrees(self, n):
@@ -89,7 +87,7 @@ class TestRunsCounts:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 33, 60])
     def test_normalization_closed_form(self, n):
-        assert sum(runs_count_exact(n, r) for r in range(1, n + 1)) == 2**n
+        assert sum(statistic_count(RUNS, n, r) for r in range(1, n + 1)) == 2**n
 
     @pytest.mark.parametrize("n", [2, 5, 9, 12])
     def test_distribution_invariants(self, n):
@@ -135,20 +133,20 @@ class TestRunsPvalues:
 
 class TestBinomialPvalues:
     def test_paper_values(self):
-        assert binomial_pvalue(9, 5, ONE_SIDED) == Fraction(1, 2)
-        assert binomial_pvalue(9, 0, TWO_SIDED_DOUBLED) == Fraction(2, 512)
-        assert binomial_pvalue(9, 0, ONE_SIDED) == Fraction(1, 512)
+        assert statistic_pvalue(BINOMIAL, 9, 5, ONE_SIDED)[1] == Fraction(1, 2)
+        assert statistic_pvalue(BINOMIAL, 9, 0, TWO_SIDED_DOUBLED)[1] == Fraction(2, 512)
+        assert statistic_pvalue(BINOMIAL, 9, 0, ONE_SIDED)[1] == Fraction(1, 512)
 
     def test_doubled_clips_at_one(self):
-        assert binomial_pvalue(2, 1, TWO_SIDED_DOUBLED) == 1
+        assert statistic_pvalue(BINOMIAL, 2, 1, TWO_SIDED_DOUBLED)[1] == 1
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            binomial_pvalue(9, -1)
+            statistic_pvalue(BINOMIAL, 9, -1)
         with pytest.raises(ValueError):
-            binomial_pvalue(9, 10)
+            statistic_pvalue(BINOMIAL, 9, 10)
         with pytest.raises(ValueError):
-            binomial_pvalue(9, 4, "exotic")
+            statistic_pvalue(BINOMIAL, 9, 4, "exotic")
 
     @given(st.integers(1, 40), st.data())
     def test_symmetry(self, n, data):
@@ -169,8 +167,8 @@ class TestBinomialPvalues:
                 expected = Fraction(sum(comb(n, i) for i in range(k, n + 1)), 2**n)
             else:
                 expected = Fraction(sum(comb(n, i) for i in range(0, k + 1)), 2**n)
-            assert binomial_pvalue(n, k, ONE_SIDED) == expected
-            assert binomial_pvalue(n, k, TWO_SIDED_DOUBLED) == min(Fraction(1), 2 * expected)
+            assert statistic_pvalue(BINOMIAL, n, k, ONE_SIDED)[1] == expected
+            assert statistic_pvalue(BINOMIAL, n, k, TWO_SIDED_DOUBLED)[1] == min(Fraction(1), 2 * expected)
 
 
 def _comb_sum(m: int, lo: int, hi: int) -> int:
@@ -186,11 +184,11 @@ class TestTailTable:
         for r in sorted({1, 2, (n + 1) // 2, n // 2 + 1, n - 1, n} & set(range(1, n + 1))):
             assert runs_pvalue(n, r, "lower") == Fraction(2 * _comb_sum(n - 1, 0, r - 1), total)
             assert runs_pvalue(n, r, "upper") == Fraction(2 * _comb_sum(n - 1, r - 1, n - 1), total)
-            assert runs_count_exact(n, r) == 2 * comb(n - 1, r - 1)
+            assert statistic_count(RUNS, n, r) == 2 * comb(n - 1, r - 1)
         for k in sorted({0, 1, n // 2, (n + 1) // 2, n - 1, n} & set(range(0, n + 1))):
             tail = _comb_sum(n, k, n) if 2 * k >= n else _comb_sum(n, 0, k)
-            assert binomial_pvalue(n, k, ONE_SIDED) == Fraction(tail, total)
-            assert binomial_pvalue(n, k, TWO_SIDED_DOUBLED) == min(Fraction(1), Fraction(2 * tail, total))
+            assert statistic_pvalue(BINOMIAL, n, k, ONE_SIDED)[1] == Fraction(tail, total)
+            assert statistic_pvalue(BINOMIAL, n, k, TWO_SIDED_DOUBLED)[1] == min(Fraction(1), Fraction(2 * tail, total))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 40, 1000])
     def test_distribution_matches_comb(self, n):
@@ -201,14 +199,14 @@ class TestTailTable:
         assert cached.cache_info().maxsize == exact.TAIL_TABLES_CACHED
         for n in [*range(1, 200, 3), 512, 1023, 2048, 3001, TAIL_LENGTH_LIMIT]:
             runs_pvalue(n, 1, "upper")
-            binomial_pvalue(n, n // 2)
+            statistic_pvalue(BINOMIAL, n, n // 2)
             runs_distribution(n)
             assert cached.cache_info().currsize <= exact.TAIL_TABLES_CACHED
 
     def test_limit_is_inclusive(self):
         n = TAIL_LENGTH_LIMIT
         assert runs_pvalue(n, 1, "lower") == Fraction(2, 2**n)
-        assert binomial_pvalue(n, n) == Fraction(1, 2**n)
+        assert statistic_pvalue(BINOMIAL, n, n)[1] == Fraction(1, 2**n)
 
     def test_one_past_the_limit_is_refused_before_any_table(self):
         n = TAIL_LENGTH_LIMIT + 1
@@ -216,9 +214,9 @@ class TestTailTable:
         start = time.perf_counter()
         for call in (
             lambda: runs_pvalue(n, 1, "lower"),
-            lambda: binomial_pvalue(n, 0),
+            lambda: statistic_pvalue(BINOMIAL, n, 0),
             lambda: runs_distribution(n),
-            lambda: runs_count_exact(n, 1),
+            lambda: statistic_count(RUNS, n, 1),
         ):
             with pytest.raises(CapExceededError):
                 call()
@@ -425,13 +423,6 @@ class TestCentralBinomial:
 
 
 class TestProbabilityHelpers:
-    def test_sequence_probability(self):
-        assert sequence_probability(9) == Fraction(1, 512)
-        assert sequence_probability(1) == Fraction(1, 2)
-        assert sequence_probability(20) == Fraction(1, 1048576)
-        with pytest.raises(ValueError):
-            sequence_probability(0)
-
     def test_parse_probability(self):
         assert parse_probability("1/20") == Fraction(1, 20)
         assert parse_probability("0.05") == Fraction(1, 20)

@@ -44,7 +44,7 @@ def test_sequence_matches_tuple_tally(n):
         assert count_ones(seq) == sum(bits)
         assert seq.text() == "".join("H" if b else "T" for b in bits)
         assert seq.text(lower=True) == "".join("h" if b else "t" for b in bits)
-        assert seq.as_int() == tuple_value(bits)
+        assert seq.value == tuple_value(bits)
         assert BinarySequence.from_int(tuple_value(bits), n) == seq
         assert parse_sequence(seq.text(lower=True)) == seq
 
@@ -59,7 +59,7 @@ def test_mask_matches_tuple_tally(n):
         assert mask.flips == flips and mask.n == len(mask) == n
         assert mask.flip_string() == "".join("1" if f else "0" for f in flips)
         assert mask.flip_count() == sum(flips)
-        assert mask.as_int() == tuple_value(flips)
+        assert mask.value == tuple_value(flips)
         assert RelabelMask.from_int(tuple_value(flips), n) == mask
         assert RelabelMask.from_flip_string(mask.flip_string()) == mask
         bits = seq_bits[i]
@@ -143,4 +143,4 @@ def test_a_million_positions_take_under_a_tenth_of_a_second():
     assert all(s < 0.1 for s in seconds.values()), seconds
     assert len(text) == n and text == format(value, f"0{n}b")[::-1].replace("1", "H").replace("0", "T")
     assert runs == 1 + sum(a != b for a, b in zip(text, text[1:]))
-    assert relabeled.as_int() == value ^ flips
+    assert relabeled.value == value ^ flips

@@ -176,7 +176,6 @@ class TestRecordsAreNamedTuples:
     def test_defaults_are_kept(self):
         assert SourceModel("fair") == SourceModel.fair() == ("fair", Fraction(1, 2), Fraction(1, 2))
         assert rejection_set(RUNS, 9).sequences is None
-        assert NullInvarianceReport(3, 8, True).witness is None
 
 
 class TestSourceModelChecksEveryPath:
@@ -188,8 +187,14 @@ class TestSourceModelChecksEveryPath:
             lambda: SourceModel.fair()._replace(stay=Fraction(-1, 2)),
             lambda: SourceModel.fair()._replace(kind="bogus"),
             lambda: SourceModel._make(("fair", Fraction(1, 2), Fraction(2))),
+            lambda: SourceModel("fair", p=Fraction(3, 5)),
+            lambda: SourceModel(MARKOV, p=Fraction(1, 3), stay=Fraction(3, 4)),
+            lambda: SourceModel(BIASED, p=Fraction(1, 3), stay=Fraction(3, 4)),
+            lambda: SourceModel.biased(Fraction(1, 3))._replace(kind=MARKOV),
+            lambda: SourceModel._make((MARKOV, Fraction(1, 3), Fraction(3, 4))),
         ],
-        ids=["kind", "p", "replace-stay", "replace-kind", "make"],
+        ids=["kind", "p", "replace-stay", "replace-kind", "make", "fair-p", "markov-p", "biased-stay",
+             "replace-biased-kind", "make-markov-p"],
     )
     def test_bad_fields_are_refused(self, build):
         with pytest.raises(ValueError):

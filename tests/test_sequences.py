@@ -78,7 +78,7 @@ class TestParsing:
 
     def test_int_roundtrip(self):
         seq = parse_sequence("HTTHTHHHT")
-        assert BinarySequence.from_int(seq.as_int(), seq.n) == BinarySequence(seq.bits)
+        assert BinarySequence.from_int(seq.value, seq.n) == BinarySequence(seq.bits)
 
 
 class TestStatistics:

@@ -11,8 +11,6 @@ from randaudit import audit, exact, sequences, simulate, verdicts
 
 MODULES = (audit, exact, sequences, simulate, verdicts)
 ROOT = Path(__file__).resolve().parents[1]
-# Public names bound to a class defined elsewhere.
-ALIASES = {"ExactProb"}  # fractions.Fraction
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -20,7 +18,7 @@ def test_each_public_name_is_defined_in_its_module(module):
     for name in module.__all__:
         obj = vars(module)[name]
         assert getattr(randaudit, name) is obj
-        if callable(obj) and name not in ALIASES:
+        if callable(obj):
             assert (obj.__name__, obj.__module__) == (name, module.__name__)
 
 
@@ -47,6 +45,7 @@ REFUSALS = [
     (randaudit.BinarySequence.from_int, (8, 3), "value 8 does not fit in 3 bits"),
     (randaudit.RelabelMask.from_int, (0, 0), "mask length must be at least 1"),
     (randaudit.mask_from_index_set, ([], 0), "mask length must be at least 1"),
+    (randaudit.mask_from_index_set, ([1.5], 3), "index 1.5 is not an integer"),
     (randaudit.BinarySequence, ((1, 2),), "sequence bits must be 0 or 1"),
     (randaudit.RelabelMask, ((),), "a mask must cover at least one position"),
     (randaudit.RelabelMask, ((True, 2),), "mask entries must be booleans"),

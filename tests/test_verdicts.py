@@ -199,8 +199,8 @@ def test_rejection_set_against_rule_and_tally(test, convention, n):
         hits = [bits for v in rule for bits in by_value.get(v, [])]
         assert result.exact_size == Fraction(len(hits), 2**n)
         if result.sequences is not None:
-            listed = [s.as_int() for s in result.sequences]
-            assert listed == sorted(BinarySequence(bits).as_int() for bits in hits)
+            listed = [s.value for s in result.sequences]
+            assert listed == sorted(BinarySequence(bits).value for bits in hits)
 
 
 @pytest.mark.parametrize("convention", [ONE_SIDED, TWO_SIDED_DOUBLED])
@@ -216,7 +216,7 @@ def test_listing_matches_packed_scan(n, alpha, test, convention):
         stats = np.bitwise_count(x)
     scanned = x[np.isin(stats, list(result.statistic_values))].tolist()
     assert scanned
-    assert [s.as_int() for s in result.sequences] == scanned
+    assert [s.value for s in result.sequences] == scanned
 
 
 class TestStatisticHelpers:
@@ -299,17 +299,17 @@ class TestStatisticTable:
 
 PUBLIC_NAMES = """
 AuditResult BINOMIAL BLOCK_TRIALS BinarySequence CONVENTIONS CapExceededError
-DEFAULT_ALPHA ENUMERATION_CAP ExactProb FlipSearchResult INVARIANCE_CAP
+DEFAULT_ALPHA ENUMERATION_CAP FlipSearchResult INVARIANCE_CAP
 LISTING_LIMIT NullInvarianceReport ONE_SIDED ParseError RUNS
 RejectionRateEstimate RejectionSet RelabelMask RunsDistribution
 SIMULATION_WORK_LIMIT SourceModel TAIL_LENGTH_LIMIT TWO_SIDED_DOUBLED
-TestVerdict apply_relabeling as_probability binomial_pvalue binomial_test
+TestVerdict apply_relabeling as_probability binomial_test
 check_null_invariance count_ones count_runs decimal_string
 enumerate_runs_distribution exact_decimal_string find_flipping_mask
 likelihood mask_between mask_from_index_set parse_model parse_probability parse_rational
 parse_sequence posterior_odds pvalue_spectrum rejection_rate rejection_set
-runs_count_exact runs_distribution runs_pvalue runs_test sample_sequence
-sequence_probability statistic_count statistic_domain statistic_pvalue
+runs_distribution runs_pvalue runs_test sample_sequence
+statistic_count statistic_domain statistic_pvalue
 verdict_under_relabeling
 """.split()
 
