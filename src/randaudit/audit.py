@@ -37,6 +37,7 @@ from .verdicts import (
     TestVerdict,
     judge,
     rejection_set,
+    statistic,
     statistic_count,
     statistic_domain,
     statistic_pvalue,
@@ -60,8 +61,11 @@ class AuditResult(NamedTuple):
     original: TestVerdict
     relabeled: TestVerdict
     mask: RelabelMask
-    flipped: bool
     relabeled_sequence: BinarySequence
+
+    @property
+    def flipped(self) -> bool:
+        return self.original.rejected != self.relabeled.rejected
 
     def as_dict(self, emit_witness: bool = False) -> dict:
         payload = {
@@ -88,21 +92,18 @@ def verdict_under_relabeling(
     alpha = as_probability(alpha)
     original = judge(seq, test, alpha, convention)
     relabeled_seq = apply_relabeling(seq, mask, vocab=relabeled_vocab)
-    relabeled = judge(relabeled_seq, test, alpha, convention)
-    return AuditResult(
-        original=original,
-        relabeled=relabeled,
-        mask=mask,
-        flipped=original.rejected != relabeled.rejected,
-        relabeled_sequence=relabeled_seq,
-    )
+    return AuditResult(original, judge(relabeled_seq, test, alpha, convention), mask, relabeled_seq)
 
 
 class FlipSearchResult(NamedTuple):
-    mask: RelabelMask
     audit: AuditResult
     method: str  # 'closed-form' | 'dp'
-    guaranteed_minimal: bool
+
+    guaranteed_minimal = True  # every search is exact
+
+    @property
+    def mask(self) -> RelabelMask:
+        return self.audit.mask
 
     def as_dict(self, emit_witness: bool = False) -> dict:
         return {
@@ -216,19 +217,18 @@ def find_flipping_mask(
     """
     alpha = as_probability(alpha)
     rejected = frozenset(rejection_set(test, seq.n, alpha, convention).statistic_values)
-    original = judge(seq, test, alpha, convention)
-    targets = [v for v in statistic_domain(test, seq.n) if (v in rejected) != original.rejected]
+    value = statistic(test).of(seq)
+    targets = [v for v in statistic_domain(test, seq.n) if (v in rejected) != (value in rejected)]
     if not targets:
         return None
     if test == RUNS:
         flips, method = _runs_reversal(seq.bits, targets), "dp"
     else:
-        flips, method = _binomial_reversal(seq.bits, original.statistic, targets), "closed-form"
-    mask = RelabelMask(flips)
-    audit = verdict_under_relabeling(seq, mask, test, alpha, convention)
+        flips, method = _binomial_reversal(seq.bits, value, targets), "closed-form"
+    audit = verdict_under_relabeling(seq, RelabelMask(flips), test, alpha, convention)
     if not audit.flipped:  # pragma: no cover - targets carry the opposite verdict
         raise AssertionError("minimal reversal search returned a non-reversing mask")
-    return FlipSearchResult(mask, audit, method, guaranteed_minimal=True)
+    return FlipSearchResult(audit, method)
 
 
 def pvalue_spectrum(seq: BinarySequence, test: str, convention: str = ONE_SIDED) -> Counter:

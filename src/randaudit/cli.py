@@ -18,6 +18,7 @@ report.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -337,10 +338,8 @@ def _run(args: argparse.Namespace) -> int:
         if OPTIONS[key].echo is not None:
             inputs.update(OPTIONS[key].echo(value))
     report = {**build_report(args.subcommand, inputs, [], []), **fields}
-    if got["pretty"] or got.get("format") == "csv":  # csv is a text rendering and wins over --pretty
-        print("\n".join(lines))
-    else:
-        sys.stdout.write(to_json(report))
+    as_text = got["pretty"] or got.get("format") == "csv"  # csv is a text rendering and wins over --pretty
+    sys.stdout.write("\n".join(lines) + "\n" if as_text else to_json(report))
     return 1 if "deviations" in report else 0
 
 
@@ -361,7 +360,13 @@ def run_cli(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        code = run_cli(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: the end of output, not an error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush cannot fail again
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ acting on the length-n sequences.
 Both are stored packed as ``(value, n)``: position i (1-based) is bit
 i - 1 of the integer ``value``.  Relabeling is then one exclusive-or, the
 head count a popcount, and the run count one more than the popcount of
-``value ^ (value >> 1)`` over the n - 1 adjacent pairs (:func:`runs_of`).
+``value ^ (value >> 1)`` over the n - 1 adjacent pairs (:func:`count_runs`).
 """
 
 from __future__ import annotations
@@ -84,11 +84,6 @@ def _read_bits(text: str, illegal: re.Pattern, what: str, kind: str) -> int:
         i = bad.start() + 1
         raise ParseError(f"illegal {kind} {bad.group()!r} at position {i}", position=i)
     return int(text[::-1].translate(_TO_BINARY), 2)
-
-
-def runs_of(value: int, n: int) -> int:
-    """Run count of the packed length-n sequence: one more than its breaks."""
-    return ((value ^ (value >> 1)) & ((1 << (n - 1)) - 1)).bit_count() + 1
 
 
 def _packed(cls, what: str, value: int, n: int):
@@ -188,8 +183,9 @@ def parse_sequence(text: str, vocab: str = "heads/tails") -> BinarySequence:
 
 
 def count_runs(seq: BinarySequence) -> int:
-    """Number of maximal blocks of equal adjacent symbols, in [1, n]."""
-    return runs_of(seq.value, seq.n)
+    """Number of maximal blocks of equal adjacent symbols, in [1, n]: one more than the breaks."""
+    value = seq.value
+    return ((value ^ (value >> 1)) & ((1 << (seq.n - 1)) - 1)).bit_count() + 1
 
 
 def count_ones(seq: BinarySequence) -> int:

@@ -2,7 +2,7 @@
 
 Both tests sit behind one table, ``STATISTICS``, keyed by test name and
 read through :func:`statistic`, the one place an unknown name is refused.
-An entry holds the statistic of a packed sequence ``(value, n)``, its
+An entry holds the statistic (:func:`count_runs` or :func:`count_ones`), its
 tail rule and its offset ``low``: under the null, statistic - low is
 Binomial(n - low, 1/2) (R - 1 for the run count R, the head count itself;
 Mood 1940), so 2^low * C(n - low, v - low) sequences attain each value v
@@ -15,9 +15,10 @@ length builds one row.  The entry also generates the sequences
 attaining a value, for explicit rejection sets.
 
 A verdict pairs an observed statistic with its exact tail probability
-and a significance threshold.  The threshold is always an exact
-rational; the comparison ``p <= alpha`` never touches floating point,
-so boundary cases are unambiguous.
+and a significance threshold, and derives whether it rejects from the
+two.  The threshold is always an exact rational; the comparison
+``p <= alpha`` never touches floating point, so boundary cases are
+unambiguous.
 
 Tail selection for the runs test: the run-count law is symmetric about
 (n+1)/2, so a count above the center is judged by its upper tail and a
@@ -40,7 +41,7 @@ from .exact import (
     check_tail_length,
     prob_dict,
 )
-from .sequences import BinarySequence, runs_of
+from .sequences import BinarySequence, count_ones, count_runs
 
 __all__ = [
     "BINOMIAL",
@@ -89,8 +90,11 @@ class TestVerdict(NamedTuple):
     tail_used: str  # 'lower' | 'upper' | 'doubled'
     p: Fraction
     alpha: Fraction
-    rejected: bool
     vocab: str
+
+    @property
+    def rejected(self) -> bool:
+        return self.p <= self.alpha
 
     def as_dict(self) -> dict:
         return {
@@ -145,7 +149,7 @@ def _runs_tail(n: int, r: int, convention: str) -> tuple[str, Fraction]:
     return tail, runs_pvalue(n, r, tail)
 
 
-def binomial_tail(n: int, k: int, convention: str = ONE_SIDED) -> tuple[str, Fraction]:
+def _binomial_tail(n: int, k: int, convention: str = ONE_SIDED) -> tuple[str, Fraction]:
     """Tail name and exact tail probability of the count of first-symbol outcomes.
 
     Under ``paper-one-sided`` this is ``upper``, P(K >= k), when k >= n/2
@@ -188,15 +192,15 @@ def _with_runs(n: int, r: int) -> Iterator[int]:
 class Statistic(NamedTuple):
     """One test's statistic and null law."""
 
-    of: Callable[[int, int], int]  # the statistic of a packed (value, n)
+    of: Callable[[BinarySequence], int]  # the statistic of a sequence
     low: int  # statistic - low is Binomial(n - low, 1/2) under the null
     tail: Callable[[int, int, str], tuple[str, Fraction]]  # (n, value, convention) -> (tail, p)
     attaining: Callable[[int, int], Iterator[int]]  # (n, value) -> every packed sequence with that statistic
 
 
 STATISTICS = {
-    RUNS: Statistic(runs_of, 1, _runs_tail, _with_runs),
-    BINOMIAL: Statistic(lambda value, n: value.bit_count(), 0, binomial_tail, _with_ones),
+    RUNS: Statistic(count_runs, 1, _runs_tail, _with_runs),
+    BINOMIAL: Statistic(count_ones, 0, _binomial_tail, _with_ones),
 }
 
 
@@ -217,9 +221,9 @@ def judge(
     """Judge ``seq`` by the named test; ``convention`` applies to the head count."""
     alpha = as_probability(alpha)
     stat = statistic(test)
-    value = stat.of(seq.value, seq.n)
+    value = stat.of(seq)
     tail, p = stat.tail(seq.n, value, convention)
-    return TestVerdict(test, value, tail, p, alpha, p <= alpha, seq.vocab)
+    return TestVerdict(test, value, tail, p, alpha, seq.vocab)
 
 
 def runs_test(seq: BinarySequence, alpha: Fraction = DEFAULT_ALPHA) -> TestVerdict:

@@ -232,6 +232,22 @@ class TestErrorsAndStability:
         code, _, _ = invoke(capsys, "frobnicate")
         assert code == 2
 
+    @pytest.mark.parametrize("rendering", [[], ["--pretty"], ["--format", "csv"]], ids=["json", "pretty", "csv"])
+    def test_a_closed_stdout_ends_the_output_quietly(self, rendering):
+        """A reader that stops early, as ``| head -c 5`` does, is no error: exit 0 and no traceback.
+
+        Each report at n = 1000 is larger than a pipe's buffer, so the
+        writer is still writing when the reader closes.
+        """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        argv = [sys.executable, "-m", "randaudit", "distribution", "--n", "1000", *rendering]
+        with subprocess.Popen(argv, env={"PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+            assert len(child.stdout.read(5)) == 5
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=60)
+        assert (code, err.decode()) == (0, "")
+
     def test_mask_length_mismatch(self, capsys):
         code, _, err = invoke(capsys, "relabel", "--seq", "HT", "--mask", "101")
         assert code == 2

@@ -157,16 +157,14 @@ class TestPackedClasses:
 class TestRecordsAreNamedTuples:
     def test_fields_iterate_and_index_in_order(self):
         verdict = FACTORIES[Verdict]()
-        assert tuple(verdict) == (
-            "runs", 6, "upper", Fraction(93, 256), Fraction(1, 20), False, "heads/tails"
-        )
+        assert tuple(verdict) == ("runs", 6, "upper", Fraction(93, 256), Fraction(1, 20), "heads/tails")
         assert verdict[1] == verdict.statistic == 6
         assert verdict == tuple(verdict)
 
     def test_reprs_are_unchanged(self):
         assert repr(FACTORIES[Verdict]()) == (
             "TestVerdict(test='runs', statistic=6, tail_used='upper', p=Fraction(93, 256), "
-            "alpha=Fraction(1, 20), rejected=False, vocab='heads/tails')"
+            "alpha=Fraction(1, 20), vocab='heads/tails')"
         )
         assert repr(FACTORIES[SourceModel]()) == (
             "SourceModel(kind='biased', p=Fraction(3, 5), stay=Fraction(1, 2))"
@@ -176,6 +174,33 @@ class TestRecordsAreNamedTuples:
     def test_defaults_are_kept(self):
         assert SourceModel("fair") == SourceModel.fair() == ("fair", Fraction(1, 2), Fraction(1, 2))
         assert rejection_set(RUNS, 9).sequences is None
+
+
+class TestRecordsCannotContradictThemselves:
+    """What follows from the stored fields is derived, so no copy or swap makes it stale."""
+
+    def test_field_counts(self):
+        assert len(Verdict._fields) == 6 and len(AuditResult._fields) == 4 and len(FlipSearchResult._fields) == 2
+
+    def test_a_new_alpha_decides_rejected(self):
+        verdict = runs_test(parse_sequence("HHHHHTTTT"))
+        assert verdict.p == Fraction(9, 256) and verdict.rejected
+        assert not verdict._replace(alpha=Fraction(0)).rejected
+        assert verdict._replace(alpha=Fraction(9, 256)).rejected
+        assert not verdict._replace(alpha=Fraction(9, 256) - Fraction(1, 10**9)).rejected
+
+    def test_a_new_relabeled_verdict_decides_flipped(self):
+        audit = FACTORIES[AuditResult]()  # p = 93/256, then 9/256 on HHHHHTTTT
+        assert audit.flipped and audit.relabeled.p == runs_test(parse_sequence("HHHHHTTTT")).p
+        swapped = audit._replace(relabeled=audit.original)
+        assert not swapped.flipped and swapped.as_dict()["flipped"] is False
+        assert swapped._replace(original=audit.relabeled).flipped
+
+    def test_a_search_reads_its_mask_from_its_audit(self):
+        found = FACTORIES[FlipSearchResult]()
+        assert found.mask == found.audit.mask and found.guaranteed_minimal is True
+        other = verdict_under_relabeling(parse_sequence(SEQ), mask_from_index_set(X_SET, 9), RUNS)
+        assert found._replace(audit=other).mask == other.mask
 
 
 class TestSourceModelChecksEveryPath:
