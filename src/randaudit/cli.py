@@ -339,8 +339,19 @@ def _run(args: argparse.Namespace) -> int:
             inputs.update(OPTIONS[key].echo(value))
     report = {**build_report(args.subcommand, inputs, [], []), **fields}
     as_text = got["pretty"] or got.get("format") == "csv"  # csv is a text rendering and wins over --pretty
-    sys.stdout.write("\n".join(lines) + "\n" if as_text else to_json(report))
+    if sys.stdout is not None:  # None when stdout is closed outright (``>&-``): nothing is written, as by print
+        sys.stdout.write("\n".join(lines) + "\n" if as_text else to_json(report))
     return 1 if "deviations" in report else 0
+
+
+def _error(exc: Exception) -> None:
+    """Print the error message to stderr; it never raises, so an unwritable stderr leaves the exit code as it is."""
+    if sys.stderr is None:  # closed outright (``2>&-``); print would fall back to stdout
+        return
+    try:
+        print(f"error: {exc}", file=sys.stderr)
+    except OSError:  # EBADF: the descriptor refuses writes; ``main`` drops the text left in the buffer
+        pass
 
 
 def run_cli(argv: list[str]) -> int:
@@ -352,20 +363,26 @@ def run_cli(argv: list[str]) -> int:
     try:
         return _run(args)
     except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 1
     except (ValueError, ZeroDivisionError) as exc:  # ParseError included
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 2
 
 
 def main() -> None:
     try:
         code = run_cli(sys.argv[1:])
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except BrokenPipeError:  # the reader closed stdout: the end of output, not an error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush cannot fail again
         code = 0
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:  # stderr refuses writes; a failed flush at exit would turn the exit code into 120
+        sys.stderr = None  # the messages it holds are dropped
     sys.exit(code)
 
 

@@ -50,14 +50,21 @@ def to_json(report: dict) -> str:
     return _render(report, "\n") + "\n"
 
 
-def _render(value, newline: str) -> str:
-    """``value`` as json renders it at ``indent=2``; ``newline`` is the line break plus the current indent.
+# The values rendered without recursion, by exact type, so a bool never renders as an int.
+_SCALARS = {
+    str: encode_basestring,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
 
-    Types are tested with ``is``, so a bool never renders as an int.
-    """
+
+def _render(value, newline: str) -> str:
+    """``value`` as json renders it at ``indent=2``; ``newline`` is the line break plus the current indent."""
     kind = type(value)
-    if kind is str:
-        return encode_basestring(value)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
     if kind is dict:
         if not value:
             return "{}"
@@ -66,7 +73,9 @@ def _render(value, newline: str) -> str:
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{encode_basestring(key)}: {_render(item, inner)}")
+            scalar = _SCALARS.get(type(item))
+            text = scalar(item) if scalar is not None else _render(item, inner)
+            items.append(f"{encode_basestring(key)}: {text}")
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if kind is list or kind is tuple:
         if not value:
@@ -77,14 +86,6 @@ def _render(value, newline: str) -> str:
         else:
             items = [_render(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if kind is float:
         if value != value:
             return "NaN"

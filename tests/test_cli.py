@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -247,6 +248,63 @@ class TestErrorsAndStability:
             err = child.stderr.read()
             code = child.wait(timeout=60)
         assert (code, err.decode()) == (0, "")
+
+    @staticmethod
+    def _child(argv: list[str], close: int | None = None, **streams) -> subprocess.CompletedProcess:
+        """``python -m randaudit argv``, with file descriptor ``close`` closed in the child."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+        return subprocess.run(
+            [sys.executable, "-m", "randaudit", *argv],
+            env={"PYTHONPATH": src},
+            preexec_fn=None if close is None else (lambda: os.close(close)),
+            timeout=60,
+            **streams,
+        )
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["runs-test", "--seq", "HT"], 0),
+            (["runs-test", "--seq", "HT", "--pretty"], 0),
+            (["runs-test", "--seq", "HX"], 2),
+            (["rejection-set", "--test", "runs", "--n", str(TAIL_LENGTH_LIMIT + 1)], 1),
+        ],
+        ids=["json", "pretty", "input-error", "cap"],
+    )
+    def test_stdout_closed_outright_writes_nothing_and_keeps_the_exit_code(self, argv, code):
+        """With stdout closed (``>&-``) there is no ``sys.stdout``; a report is dropped, as print drops it."""
+        done = self._child(argv, close=1)
+        assert done.returncode == code
+        assert b"Traceback" not in done.stderr
+        assert (done.stderr == b"") == (code == 0)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["runs-test", "--seq", "HX"], 2),
+            (["runs-test", "--seq", "HT", "--sideways"], 2),
+            (["rejection-set", "--test", "runs", "--n", str(TAIL_LENGTH_LIMIT + 1)], 1),
+        ],
+        ids=["input-error", "usage-error", "cap"],
+    )
+    @pytest.mark.parametrize("stderr", ["closed", "read-only"])
+    def test_an_unwritable_stderr_keeps_the_error_exit_code(self, argv, code, stderr):
+        """An error message is dropped when stderr is closed (no ``sys.stderr``) or refuses writes (EBADF).
+
+        With no ``sys.stderr`` at all, argparse prints its usage text to
+        stdout instead; that is its own choice, so only the exit code is
+        checked there.
+        """
+        if stderr == "closed":
+            done = self._child(argv, close=2)
+        else:
+            with open(os.devnull, "rb") as read_only:
+                done = self._child(argv, stderr=read_only)
+        assert done.returncode == code
+        assert b"Traceback" not in done.stdout
+        if "--sideways" not in argv:
+            assert done.stdout == b""
 
     def test_mask_length_mismatch(self, capsys):
         code, _, err = invoke(capsys, "relabel", "--seq", "HT", "--mask", "101")

@@ -480,9 +480,12 @@ class TestProbabilityHelpers:
             parse_rational("h", "prior odds")
 
     def test_as_probability_bounds(self):
-        with pytest.raises(ValueError):
-            as_probability(Fraction(-1, 2))
+        for outside in (Fraction(-1, 2), Fraction(-1, 2**5000), Fraction(3, 2), Fraction(2**5000 + 1, 2**5000), 2, -1):
+            with pytest.raises(ValueError, match="outside"):
+                as_probability(outside)
         assert as_probability(1) == 1
+        for inside in (Fraction(0), Fraction(1), Fraction(1, 2**5000), Fraction(2**5000 - 1, 2**5000)):
+            assert as_probability(inside) is inside
 
     def test_parse_probability_refuses_what_a_report_cannot_render(self):
         limit = sys.get_int_max_str_digits()
@@ -547,6 +550,48 @@ class TestProbabilityHelpers:
         assert exact_decimal_string(Fraction(1)) == "1"
         assert exact_decimal_string(Fraction(0)) == "0"
         assert exact_decimal_string(Fraction(1, 3)) == "0.333333333333"
+
+
+def _assert_reduced_equal(got: Fraction, count: int, n: int) -> None:
+    want = Fraction(count, 2**n)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert hash(got) == hash(want)
+
+
+class TestDyadic:
+    """``dyadic`` against Fraction's own reduction, on this Python's private route and on the plain fallback."""
+
+    @pytest.fixture(params=["private route", "fallback"], autouse=True)
+    def route(self, request, monkeypatch):
+        if request.param == "fallback":
+            monkeypatch.setattr(exact, "_from_coprime", Fraction)
+
+    def test_every_count_at_every_n_up_to_12(self):
+        for n in range(13):
+            for count in range(2**n + 1):
+                _assert_reduced_equal(exact.dyadic(count, n), count, n)
+
+    @pytest.mark.parametrize("n", [*range(13, 65), 2047, 2048, 5000])
+    def test_random_counts(self, n):
+        rng = random.Random(n)
+        counts = [0, 1, 2**n - 1, 2**n, *(rng.getrandbits(n) for _ in range(8))]
+        counts += [rng.getrandbits(n - shift) << shift for shift in rng.sample(range(n), 8)]
+        for count in counts:
+            _assert_reduced_equal(exact.dyadic(count, n), count, n)
+
+
+def test_a_python_without_either_private_route_builds_plain_fractions(monkeypatch):
+    class Plain(Fraction):
+        """A Fraction as a Python with neither private route would have it."""
+
+        _from_coprime_ints = None
+
+        def __new__(cls, numerator=0, denominator=None):
+            return super().__new__(cls, numerator, denominator)
+
+    monkeypatch.setattr(exact, "Fraction", Plain)
+    assert exact._coprime_route() is Plain
 
 
 class TestExport:

@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from randaudit import verdicts
 from randaudit import (
@@ -233,6 +234,27 @@ class TestStatisticHelpers:
         assert (tail, p) == ("doubled", Fraction(2, 512))
         with pytest.raises(ValueError):
             statistic_pvalue(RUNS, 9, 0)
+
+
+def test_doubled_tail_is_the_one_sided_tail_doubled_and_clipped():
+    for n in range(1, 65):
+        for k in range(n + 1):
+            p = statistic_pvalue(BINOMIAL, n, k, ONE_SIDED)[1]
+            assert statistic_pvalue(BINOMIAL, n, k, TWO_SIDED_DOUBLED) == ("doubled", min(Fraction(1), 2 * p))
+
+
+@given(st.data())
+def test_rejected_is_the_fraction_rule(data):
+    test = data.draw(st.sampled_from([RUNS, BINOMIAL]))
+    convention = data.draw(st.sampled_from([ONE_SIDED, TWO_SIDED_DOUBLED]))
+    n = data.draw(st.integers(1, 64))
+    value = data.draw(st.sampled_from(statistic_domain(test, n)))
+    tail, p = statistic_pvalue(test, n, value, convention)
+    # An alpha equal to the tail, one dyadic step either side of it, or any probability.
+    step = Fraction(1, 2 ** data.draw(st.integers(n, n + 8)))
+    near = st.sampled_from([p, max(p - step, Fraction(0)), min(p + step, Fraction(1))])
+    alpha = data.draw(st.one_of(near, st.sampled_from(ALPHAS), st.fractions(0, 1)))
+    assert verdicts.TestVerdict(test, value, tail, p, alpha, "heads/tails").rejected == (p <= alpha)
 
 
 class TestStatisticTable:
