@@ -8,7 +8,8 @@ without enumerating them:
 
 * The p-value spectrum over all relabelings is the null law itself: the
   number of masks reaching a statistic value is the number of sequences
-  attaining it.
+  attaining it, so :func:`~randaudit.verdicts.pvalue_spectrum` is read
+  from the null law alongside the verdicts.
 * A verdict-reversing mask exists iff some statistic value carries the
   opposite verdict.  The reversal with the fewest redefined positions,
   ties broken by the lexicographically smallest flip string, is exact
@@ -24,7 +25,6 @@ searches run on the standard library alone.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -38,9 +38,7 @@ from .verdicts import (
     judge,
     rejection_set,
     statistic,
-    statistic_count,
     statistic_domain,
-    statistic_pvalue,
 )
 
 __all__ = [
@@ -50,7 +48,6 @@ __all__ = [
     "NullInvarianceReport",
     "check_null_invariance",
     "find_flipping_mask",
-    "pvalue_spectrum",
     "verdict_under_relabeling",
 ]
 
@@ -229,22 +226,6 @@ def find_flipping_mask(
     if not audit.flipped:  # pragma: no cover - targets carry the opposite verdict
         raise AssertionError("minimal reversal search returned a non-reversing mask")
     return FlipSearchResult(audit, method)
-
-
-def pvalue_spectrum(seq: BinarySequence, test: str, convention: str = ONE_SIDED) -> Counter:
-    """Multiset of p-values of the relabeled sequence over all 2^n masks.
-
-    Exactly one mask carries ``seq`` to each sequence of {0,1}^n, so the
-    count for a statistic value is its null count, 2*C(n-1, r-1) runs or
-    C(n, k) heads, whatever ``seq`` is.  Distinct statistic values may
-    share a p-value (the runs tails are symmetric), so counts are merged
-    per exact probability.
-    """
-    n = seq.n
-    spectrum: Counter = Counter()
-    for v in statistic_domain(test, n):
-        spectrum[statistic_pvalue(test, n, v, convention)[1]] += statistic_count(test, n, v)
-    return spectrum
 
 
 class NullInvarianceReport(NamedTuple):

@@ -21,10 +21,10 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from . import report as report_mod
-from .audit import find_flipping_mask, pvalue_spectrum, verdict_under_relabeling
+from .audit import find_flipping_mask, verdict_under_relabeling
 from .exact import CapExceededError, enumerate_runs_distribution, parse_probability, parse_rational, prob_dict
 from .report import build_report, to_json
 from .sequences import (
@@ -41,6 +41,7 @@ from .verdicts import (
     TESTS,
     TWO_SIDED_DOUBLED,
     binomial_test,
+    pvalue_spectrum,
     rejection_set,
     runs_distribution,
     runs_test,
@@ -310,8 +311,19 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """Exit 2, with the usage and message on stderr if it takes them; nothing goes to stdout instead."""
+        if sys.stderr is not None:  # with none at all (``2>&-``) argparse would print the usage to stdout
+            try:
+                super().error(message)
+            except OSError:  # stderr refuses writes (EBADF); argparse before 3.11 lets that escape
+                pass
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="randaudit",
         description="Exact randomness-test verdicts and relabeling audits for binary sequences.",
     )

@@ -14,23 +14,26 @@ cached row, row n - 1 of Pascal's triangle, so a verdict pair at a new
 length builds one row.  The entry also generates the sequences
 attaining a value, for explicit rejection sets.
 
-Every tail is a count of sequences over 2^n.  The counts stay ints until
-a record exposes a probability (``TestVerdict.p``, ``RejectionSet.
-exact_size``, the spectrum's keys, ``RunsDistribution.pmf``), where
+Every tail is a count of sequences over 2^n: an entry's tail rule
+returns the tail's name and count, the doubled head-count tail clipped
+on counts, min(2 c, 2^n).  Counts stay ints until a record exposes a
+probability (``TestVerdict.p``, ``RejectionSet.exact_size``, the
+spectrum's keys, ``RunsDistribution.pmf``), where
 :func:`~randaudit.exact.dyadic` builds the reduced Fraction without a
-gcd; the doubled head-count tail is clipped on counts, min(2 c, 2^n).
-At n = 5000 (warm row, best of 3 in four processes on a shared 2-vCPU
-x86_64 machine, Python 3.11) this took ``rejection_set`` from 300-410
-to 32-47 ms, ``pvalue_spectrum`` from 340-440 to 66-104 ms and a
-run-count ``find_flipping_mask`` from 370-510 to 126-204 ms: nearly
-all of the difference was ``math.gcd`` inside ``Fraction``.
+gcd: a rejection set builds one, a spectrum one per distinct tail.  At
+n = 5000 (warm row, best of 3 in eight processes a side, interleaved, on
+a shared 2-vCPU x86_64 machine, Python 3.11) a run-count
+``rejection_set`` took 10-23 ms and ``pvalue_spectrum`` 26-51 ms, 0.37
+to 0.51 of the time with a Fraction per value (24-49 and 67-107 ms);
+with a gcd per tail they had taken 0.3-0.5 s.
 
 A verdict pairs an observed statistic with its exact tail probability
 and a significance threshold, and derives whether it rejects from the
 two.  The threshold is always an exact rational, and ``p <= alpha`` is
-decided on ints, as ``p.numerator * alpha.denominator <=
-alpha.numerator * p.denominator``: the same exact rule, never floating
-point, so boundary cases are unambiguous.
+decided on ints, never in floating point, so boundary cases are
+unambiguous: as ``p.numerator * alpha.denominator <= alpha.numerator *
+p.denominator`` for a verdict, and as ``count * alpha.denominator <=
+alpha.numerator << n`` for each value a rejection set scans.
 
 Tail selection for the runs test: the run-count law is symmetric about
 (n+1)/2, so a count above the center is judged by its upper tail and a
@@ -41,11 +44,13 @@ arbitrary but fixed.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterator, NamedTuple
 
 from .exact import (
+    TAIL_LENGTH_LIMIT,
     CapExceededError,
     RunsDistribution,
     as_probability,
@@ -67,6 +72,7 @@ __all__ = [
     "RejectionSet",
     "TestVerdict",
     "binomial_test",
+    "pvalue_spectrum",
     "rejection_set",
     "runs_distribution",
     "runs_pvalue",
@@ -123,61 +129,54 @@ class TestVerdict(NamedTuple):
         }
 
 
-def _count(stat: Statistic, n: int, lo: int, hi: int) -> int:
-    """Number of length-n sequences whose statistic lies in lo..hi, read from the null law."""
-    check_tail_length(n)
-    low = stat.low
-    if not low <= lo <= hi <= n:
+def _count(n: int, lo: int, hi: int, low: int) -> int:
+    """Number of length-n sequences whose statistic, of law low + Binomial(n - low, 1/2), lies in lo..hi."""
+    if not (0 < n <= TAIL_LENGTH_LIMIT and low <= lo <= hi <= n):
+        check_tail_length(n)
         raise ValueError(f"statistic range {lo}..{hi} outside {low}..{n}")
     return binomial_count_between(n, lo, hi, low)
 
 
-def _tail_count(stat: Statistic, n: int, value: int, tail: str) -> int:
-    """Sequences with statistic <= value for ``lower``, >= value for ``upper``."""
-    if tail == "lower":
-        return _count(stat, n, stat.low, value)
-    if tail == "upper":
-        return _count(stat, n, value, n)
-    raise ValueError(f"unknown tail {tail!r}; expected 'lower' or 'upper'")
-
-
-def _check_convention(convention: str) -> None:
+def _checked(test: str, convention: str) -> Statistic:
+    """The table entry for ``test``, with ``convention`` checked too: the tail rules take both as given."""
+    stat = statistic(test)
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
+    return stat
 
 
 def runs_pvalue(n: int, r: int, tail: str) -> Fraction:
     """Exact tail probability of the run count: P(R <= r) for ``lower``, P(R >= r) for ``upper``."""
-    return dyadic(_tail_count(STATISTICS[RUNS], n, r, tail), n)
+    if tail == "lower":
+        return dyadic(_count(n, 1, r, 1), n)
+    if tail == "upper":
+        return dyadic(_count(n, r, n, 1), n)
+    raise ValueError(f"unknown tail {tail!r}; expected 'lower' or 'upper'")
 
 
 def runs_distribution(n: int) -> RunsDistribution:
     """Run-count distribution from the table, for n up to TAIL_LENGTH_LIMIT."""
     check_tail_length(n)
-    return RunsDistribution(n, tuple(statistic_count(RUNS, n, r) for r in range(1, n + 1)))
+    return RunsDistribution(n, tuple(_count(n, r, r, 1) for r in range(1, n + 1)))
 
 
-def _runs_tail(n: int, r: int, convention: str) -> tuple[str, Fraction]:
-    """Tail and p-value for an observed run count; every convention gives the same."""
-    _check_convention(convention)
-    tail = "upper" if 2 * r > n + 1 else "lower"
-    return tail, runs_pvalue(n, r, tail)
+def _runs_tail(n: int, r: int, convention: str) -> tuple[str, int]:
+    """Tail name and count for an observed run count; every convention gives the same."""
+    if 2 * r > n + 1:
+        return "upper", _count(n, r, n, 1)
+    return "lower", _count(n, 1, r, 1)
 
 
-def _binomial_tail(n: int, k: int, convention: str = ONE_SIDED) -> tuple[str, Fraction]:
-    """Tail name and exact tail probability of the count of first-symbol outcomes.
+def _binomial_tail(n: int, k: int, convention: str) -> tuple[str, int]:
+    """Tail name and count for the count k of first-symbol outcomes, K binomial(n, 1/2) under the null.
 
-    Under ``paper-one-sided`` this is ``upper``, P(K >= k), when k >= n/2
-    and ``lower``, P(K <= k), otherwise, for K binomial(n, 1/2).  Under
-    ``two-sided-doubled`` it is ``doubled``: the one-sided value doubled
-    and clipped at 1.
+    ``upper`` counts K >= k when k >= n/2 and ``lower`` K <= k otherwise;
+    ``two-sided-doubled`` reports ``doubled``, that count doubled and clipped at 2^n.
     """
-    _check_convention(convention)
-    tail = "upper" if 2 * k >= n else "lower"
-    count = _tail_count(STATISTICS[BINOMIAL], n, k, tail)
+    tail, count = ("upper", _count(n, k, n, 0)) if 2 * k >= n else ("lower", _count(n, 0, k, 0))
     if convention == TWO_SIDED_DOUBLED:
-        return "doubled", dyadic(min(2 * count, 1 << n), n)
-    return tail, dyadic(count, n)
+        return "doubled", min(2 * count, 1 << n)
+    return tail, count
 
 
 def _with_ones(width: int, k: int) -> Iterator[int]:
@@ -209,7 +208,7 @@ class Statistic(NamedTuple):
 
     of: Callable[[BinarySequence], int]  # the statistic of a sequence
     low: int  # statistic - low is Binomial(n - low, 1/2) under the null
-    tail: Callable[[int, int, str], tuple[str, Fraction]]  # (n, value, convention) -> (tail, p)
+    tail: Callable[[int, int, str], tuple[str, int]]  # (n, value, convention) -> (tail, sequences in it)
     attaining: Callable[[int, int], Iterator[int]]  # (n, value) -> every packed sequence with that statistic
 
 
@@ -235,9 +234,11 @@ def judge(
 ) -> TestVerdict:
     """Judge ``seq`` by the named test; ``convention`` applies to the head count."""
     alpha = as_probability(alpha)
-    stat = statistic(test)
-    value = stat.of(seq)
-    tail, p = stat.tail(seq.n, value, convention)
+    stat = _checked(test, convention)
+    n, value = seq.n, stat.of(seq)
+    tail, count = stat.tail(n, value, convention)
+    # Every runs p goes through runs_pvalue, which bench/test_bench.py patches to inject a wrong p.
+    p = runs_pvalue(n, value, tail) if test == RUNS else dyadic(count, n)
     return TestVerdict(test, value, tail, p, alpha, seq.vocab)
 
 
@@ -265,12 +266,31 @@ def statistic_domain(test: str, n: int) -> range:
 
 def statistic_pvalue(test: str, n: int, value: int, convention: str = ONE_SIDED) -> tuple[str, Fraction]:
     """Tail and p-value a verdict would use for a given statistic value."""
-    return statistic(test).tail(n, value, convention)
+    tail, count = _checked(test, convention).tail(n, value, convention)
+    return tail, dyadic(count, n)
 
 
 def statistic_count(test: str, n: int, value: int) -> int:
     """Number of length-n sequences whose statistic equals ``value``, by table lookup."""
-    return _count(statistic(test), n, value, value)
+    return _count(n, value, value, statistic(test).low)
+
+
+def pvalue_spectrum(seq: BinarySequence, test: str, convention: str = ONE_SIDED) -> Counter:
+    """Multiset of p-values of the relabeled sequence over all 2^n masks.
+
+    Exactly one mask carries ``seq`` to each sequence of {0,1}^n, so the
+    count for a statistic value is its null count, 2*C(n-1, r-1) runs or
+    C(n, k) heads, whatever ``seq`` is: the spectrum is the null law of
+    the p-value.  Distinct statistic values may share a p-value (the runs
+    tails are symmetric), so the tally is keyed on the tail's count and
+    one Fraction is built per distinct p-value.
+    """
+    n, stat = seq.n, _checked(test, convention)
+    tally: dict[int, int] = {}
+    for v in statistic_domain(test, n):
+        count = stat.tail(n, v, convention)[1]
+        tally[count] = tally.get(count, 0) + _count(n, v, v, stat.low)
+    return Counter({dyadic(count, n): sequences for count, sequences in tally.items()})
 
 
 class RejectionSet(NamedTuple):
@@ -315,12 +335,12 @@ def rejection_set(
     statistic values, so the work is proportional to the listing, not
     to 2^n.
     """
-    if n < 1:
-        raise ValueError("length must be at least 1")
+    check_tail_length(n)
     alpha = as_probability(alpha)
-    stat = statistic(test)
-    values = tuple(v for v in range(stat.low, n + 1) if stat.tail(n, v, convention)[1] <= alpha)
-    mass = sum(_count(stat, n, v, v) for v in values)
+    stat = _checked(test, convention)
+    den, bound = alpha.denominator, alpha.numerator << n  # count / 2^n <= alpha, on ints
+    values = tuple(v for v in statistic_domain(test, n) if stat.tail(n, v, convention)[1] * den <= bound)
+    mass = sum(_count(n, v, v, stat.low) for v in values)
     sequences = None
     if include_sequences:
         if mass > LISTING_LIMIT:

@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from randaudit import (
     rejection_set,
     runs_distribution,
     runs_test,
+    statistic_count,
+    statistic_domain,
     statistic_pvalue,
     verdict_under_relabeling,
 )
@@ -260,6 +263,21 @@ class TestSpectrum:
             for r in range(1, n + 1):
                 expected[statistic_pvalue(RUNS, n, r)[1]] += dist.count(r)
             assert spec == expected
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 1000, 5000])
+    @pytest.mark.parametrize(
+        "test, convention", [(RUNS, ONE_SIDED), (BINOMIAL, ONE_SIDED), (BINOMIAL, TWO_SIDED_DOUBLED)]
+    )
+    def test_against_a_fraction_keyed_tally(self, test, convention, n):
+        # The tally keyed on each value's Fraction p-value, merged by Fraction equality.
+        expected = Counter()
+        for v in statistic_domain(test, n):
+            expected[statistic_pvalue(test, n, v, convention)[1]] += statistic_count(test, n, v)
+        spec = pvalue_spectrum(BinarySequence.from_int(random.Random(n).getrandbits(n), n), test, convention)
+        assert spec == expected
+        assert sum(spec.values()) == 2**n
+        for p in spec:
+            assert type(p) is Fraction and gcd(p.numerator, p.denominator) == 1
 
 
 class TestNullInvariance:

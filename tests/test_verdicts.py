@@ -19,6 +19,7 @@ from randaudit import (
     binomial_test,
     count_runs,
     parse_sequence,
+    pvalue_spectrum,
     rejection_set,
     runs_test,
     statistic_count,
@@ -202,6 +203,42 @@ def test_rejection_set_against_rule_and_tally(test, convention, n):
         if result.sequences is not None:
             listed = [s.value for s in result.sequences]
             assert listed == sorted(BinarySequence(bits).value for bits in hits)
+
+
+@pytest.mark.parametrize("convention", [ONE_SIDED, TWO_SIDED_DOUBLED])
+@pytest.mark.parametrize("test", [RUNS, BINOMIAL])
+@pytest.mark.parametrize("n", [*range(1, 65), 1000, 4999, 5000])
+def test_rejection_set_is_the_fraction_rule(test, convention, n):
+    # The rule on Fractions, against the scan that compares counts on ints.
+    pvalues = [(v, statistic_pvalue(test, n, v, convention)[1]) for v in statistic_domain(test, n)]
+    # The largest tail at most 1/20, or the smallest tail if none is: an alpha equal to an attained tail.
+    attained = max((p for _, p in pvalues if p <= ALPHA), default=min(p for _, p in pvalues))
+    for alpha in (Fraction(0), Fraction(1, 100), ALPHA, Fraction(1, 2), Fraction(1), attained):
+        result = rejection_set(test, n, alpha, convention)
+        rule = tuple(v for v, p in pvalues if p <= alpha)
+        assert result.statistic_values == rule, alpha
+        mass = sum(statistic_count(test, n, v) for v in rule)
+        assert result.exact_size == Fraction(mass, 2**n)
+
+
+def test_scans_build_one_fraction_per_reported_probability(monkeypatch):
+    # A rejection set builds only its exact size; a spectrum one Fraction per distinct p-value.
+    built = []
+
+    def counted(count, n):
+        built.append(count)
+        return real(count, n)
+
+    real = verdicts.dyadic
+    monkeypatch.setattr(verdicts, "dyadic", counted)
+    seq = parse_sequence("HT" * 500)
+    for test, convention in ((RUNS, ONE_SIDED), (BINOMIAL, ONE_SIDED), (BINOMIAL, TWO_SIDED_DOUBLED)):
+        built.clear()
+        rejection_set(test, 1000, ALPHA, convention)
+        assert len(built) == 1
+        built.clear()
+        spectrum = pvalue_spectrum(seq, test, convention)
+        assert len(built) == len(spectrum) > 1
 
 
 @pytest.mark.parametrize("convention", [ONE_SIDED, TWO_SIDED_DOUBLED])
