@@ -18,9 +18,7 @@ without enumerating them:
   because a mask m toggles the adjacent-pair breaks m ^ (m >> 1).
 
 Enumeration survives only in the capped null-invariance check, an
-oracle over every mask.  That check is the only user of numpy here and
-imports it itself, so verdicts, audits, spectra and both reversal
-searches run on the standard library alone.
+oracle over every mask.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import CapExceededError, as_probability
+from .exact import CapExceededError, _lane_planes, as_probability
 from .sequences import BinarySequence, RelabelMask, apply_relabeling
 from .verdicts import (
     DEFAULT_ALPHA,
@@ -240,20 +238,22 @@ class NullInvarianceReport(NamedTuple):
 def check_null_invariance(n: int) -> NullInvarianceReport:
     """Verify every mask permutes {0,1}^n, so the uniform law is fixed.
 
-    Each of the 2^n masks is applied to every sequence and the image is
-    required to cover {0,1}^n exactly once; a bijection carries the
-    equal-weight law to itself.  Exhaustive, hence capped.
+    Each of the 2^n masks maps {0,1}^n, kept as one 2^n-bit int, by one
+    block swap per set bit of the mask, and the image must be all of
+    {0,1}^n: 2^n sequences then cover it exactly once, and a bijection
+    carries the equal-weight law to itself.  Exhaustive, hence capped.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
     if n > INVARIANCE_CAP:
         raise CapExceededError(f"invariance check over 2^{n} masks exceeds cap {INVARIANCE_CAP}")
-    import numpy as np
-
-    size = 1 << n
-    idx = np.arange(size, dtype=np.uint32)
+    size, planes = 1 << n, _lane_planes(n)
+    full = (1 << size) - 1
     for m in range(size):
-        counts = np.bincount(idx ^ np.uint32(m), minlength=size)
-        if not (counts == 1).all():  # pragma: no cover - xor is a bijection
+        image = full  # bit y is set iff y = x ^ m for some x, taken one set bit of m at a time
+        for j, plane in enumerate(planes):
+            if m >> j & 1:
+                image = (image & plane) >> (1 << j) | (image ^ (image & plane)) << (1 << j)
+        if image != full:  # pragma: no cover - xor is a bijection
             return NullInvarianceReport(n, m + 1, False)
     return NullInvarianceReport(n, size, True)

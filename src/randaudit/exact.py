@@ -39,9 +39,9 @@ pair, and a private constructor of ``fractions`` skips the gcd that
 a Fraction through and checks its range on ints.
 
 The enumeration route tallies the run count over all 2^n sequences and
-is the oracle the table is validated against in the tests.  It is the
-only code here that uses numpy, and it imports numpy itself, so the
-table route never loads it.
+is the oracle the table is validated against in the tests.  It runs on
+the bit-sliced column tally that ``simulate`` counts its rejections
+with, so the package needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -67,12 +67,12 @@ __all__ = [
     "parse_rational",
 ]
 
-# Full enumeration of {0,1}^n is refused above this length.  It must stay
-# at or below 32: the kernel packs each sequence in a uint32.
+# Full enumeration of {0,1}^n is refused above this length, where it
+# takes about 0.1 s; each length above doubles that.
 ENUMERATION_CAP = 24
 
-# Enumeration works through 2^16 sequences at a time, so its arrays stay
-# near 256 KiB each and a process's peak memory does not grow with n.
+# Enumeration tallies 2^16 sequences at a time, one per lane of an 8 KiB
+# plane; at n = 22, planes of 2^22 lanes took 58-73 ms against 13-24 ms.
 _CHUNK = 1 << 16
 
 # Exact tails are refused above this length.  Two full cached rows then
@@ -133,9 +133,7 @@ def dyadic(count: int, n: int) -> Fraction:
 
     Every null probability is a count over 2^n.  Shifting out the
     count's trailing zeros (at most n of them) leaves a coprime pair, so
-    no gcd is taken: at n = 5000 this takes 1.5-1.7 us, where
-    ``Fraction(count, 1 << n)`` takes 68-75 us, nearly all of it in
-    ``math.gcd`` (Python 3.11 and 3.12, 2-vCPU x86_64 machine).
+    no gcd is taken.
     """
     if not count:
         return _ZERO
@@ -346,23 +344,54 @@ class RunsDistribution(NamedTuple):
         return {"n": self.n, "total": self.total, "rows": rows}
 
 
+def _lane_planes(k: int) -> list[int]:
+    """The k lane planes over 2^k lanes: lane x of plane i holds bit i of x."""
+    planes: list[int] = []
+    for i in range(k):
+        width = 1 << i
+        planes = [p | p << width for p in planes] + [((1 << width) - 1) << width]
+    return planes
+
+
+def _column_tally(planes: list[int], lanes: int) -> dict[int, int]:
+    """How many of the first ``lanes`` lanes have each column sum over ``planes``; no count is 0.
+
+    The sums are kept bit-sliced, ``counter[i]`` holding bit i of every
+    lane's running sum in m.bit_length() ints for m planes, and each
+    plane is added with a ripple carry.  The lanes are then split on each
+    counter bit, top bit first, until ``by_sum`` pairs each sum s some
+    lane has with exactly the lanes whose sum is s.  Empty halves are
+    dropped, so the split costs in proportion to the spread of the sums.
+    """
+    counter = [0] * len(planes).bit_length()
+    for plane in planes:
+        i = 0
+        while plane:
+            counter[i], plane = counter[i] ^ plane, counter[i] & plane
+            i += 1
+    by_sum = [(0, (1 << lanes) - 1)]
+    for bit in reversed(counter):
+        by_sum = [(2 * s + b, half) for s, g in by_sum for b, half in ((0, g ^ (g & bit)), (1, g & bit)) if half]
+    return {s: g.bit_count() for s, g in by_sum}
+
+
 def enumerate_runs_distribution(n: int) -> RunsDistribution:
     """Run-count distribution by tallying the statistic over all 2^n sequences.
 
-    This is the oracle route: independent of the table above.  The
-    run count of a packed sequence x is one more than the number of set
-    bits in ``x ^ (x >> 1)`` restricted to the n-1 adjacent pairs.
+    This is the oracle route, independent of the table above.  The
+    sequences are the lanes of n bit planes, _CHUNK at a time: positions
+    below 16 are lane planes, the rest all-0 or all-1 for the chunk.  A
+    run count is one more than the lane's sum over the switch planes.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
     if n > ENUMERATION_CAP:
         raise CapExceededError(f"enumeration over 2^{n} sequences exceeds cap {ENUMERATION_CAP}")
-    import numpy as np
-
-    counts = np.zeros(n + 1, dtype=np.int64)
-    pair_mask = (1 << (n - 1)) - 1
-    for start in range(0, 1 << n, _CHUNK):
-        x = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.uint32)
-        r = np.bitwise_count((x ^ (x >> np.uint32(1))) & np.uint32(pair_mask)) + 1
-        counts += np.bincount(r, minlength=n + 1)
-    return RunsDistribution(n, tuple(int(c) for c in counts[1:]))
+    k = min(n, _CHUNK.bit_length() - 1)
+    lanes, full = _lane_planes(k), (1 << (1 << k)) - 1
+    counts = [0] * n
+    for chunk in range(1 << (n - k)):
+        planes = lanes + [full if chunk >> i & 1 else 0 for i in range(n - k)]
+        for s, c in _column_tally([a ^ b for a, b in zip(planes, planes[1:])], 1 << k).items():
+            counts[s] += c
+    return RunsDistribution(n, tuple(counts))

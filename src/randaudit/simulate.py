@@ -27,11 +27,9 @@ There are no floats, no rounding and no limit on the denominator.  The
 Markov source draws a fair first plane and XORs switch planes into it;
 the switch planes of any source are the XORs of adjacent bit planes.
 
-Rejections are tallied on the planes as well: the column sums are kept
-bit-sliced, one int per binary digit of the sum, and the lanes are split
-on those digits into one group per sum, whose popcounts are added over
-the rejected statistic values, so sampling and tallying use the standard
-library alone.
+Rejections are tallied on the planes as well, by the bit-sliced column
+tally the enumeration oracle runs on, so sampling and tallying use the
+standard library alone.
 """
 
 from __future__ import annotations
@@ -41,7 +39,8 @@ from fractions import Fraction
 from math import sqrt
 from typing import NamedTuple
 
-from .exact import CapExceededError, as_probability, check_tail_length, parse_probability, parse_rational, prob_dict
+from .exact import CapExceededError, _column_tally, as_probability, check_tail_length, parse_probability
+from .exact import parse_rational, prob_dict
 from .sequences import BinarySequence, count_ones, count_runs, pack
 from .verdicts import DEFAULT_ALPHA, ONE_SIDED, RUNS, rejection_set, statistic
 
@@ -177,30 +176,6 @@ def _bit_planes(model: SourceModel, n: int, seed: int, block: int) -> list[int]:
     return [_bernoulli_plane(rng, model.p) for _ in range(n)]
 
 
-def _count_rejected(planes: list[int], rejected_sums: tuple[int, ...], lanes: int) -> int:
-    """How many of the first ``lanes`` lanes have a column sum over ``planes`` in ``rejected_sums``.
-
-    The column sums are kept bit-sliced: ``counter[i]`` holds bit i of
-    every lane's running sum, in m.bit_length() ints for m planes, and
-    each plane is added with a ripple carry.  The lanes are then split
-    on each counter bit, top bit first, until ``by_sum`` pairs each sum
-    s that some lane has with exactly the lanes whose sum is s.  Empty
-    halves are dropped, so the split costs in proportion to the spread
-    of the sums, not to 2^bits, and a value no lane has selects nothing.
-    """
-    counter = [0] * len(planes).bit_length()
-    for plane in planes:
-        i = 0
-        while plane:
-            counter[i], plane = counter[i] ^ plane, counter[i] & plane
-            i += 1
-    by_sum = [(0, (1 << lanes) - 1)]
-    for bit in reversed(counter):
-        by_sum = [(2 * s + b, half) for s, g in by_sum for b, half in ((0, g ^ (g & bit)), (1, g & bit)) if half]
-    rejected = set(rejected_sums)
-    return sum(g.bit_count() for s, g in by_sum if s in rejected)
-
-
 def sample_sequence(model: SourceModel, n: int, seed: int) -> BinarySequence:
     """One deterministic draw from the model: trial 0 of ``rejection_rate`` at the same seed."""
     if n < 1:
@@ -261,11 +236,10 @@ def rejection_rate(
     the last block at full width too, so trial t is the same draw
     whatever ``trials`` is.  Each lane's statistic is a column sum of
     the planes, the bit planes for the head count and the switch planes
-    (plus one) for the run count, tallied bit-sliced in the stdlib by
-    :func:`_count_rejected` against the rejected statistic values.
-    Trial 0 is the sequence :func:`sample_sequence` returns.
-    ``trials * n`` above SIMULATION_WORK_LIMIT is refused before
-    anything is drawn.
+    (plus one) for the run count, tallied bit-sliced by
+    :func:`~randaudit.exact._column_tally` and summed over the rejected
+    values.  Trial 0 is the sequence :func:`sample_sequence` returns.
+    ``trials * n`` above SIMULATION_WORK_LIMIT is refused before any draw.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -274,13 +248,14 @@ def rejection_rate(
     alpha = as_probability(alpha)
     region = rejection_set(test, n, alpha, convention)
     low = statistic(test).low
-    rejected_sums = tuple(v - low for v in region.statistic_values)
+    rejected_sums = {v - low for v in region.statistic_values}
     hits = 0
     for block in range(-(-trials // BLOCK_TRIALS)):
         planes = _bit_planes(model, n, seed, block)
         if test == RUNS:  # R - 1 counts the switches
             planes = [a ^ b for a, b in zip(planes, planes[1:])]
-        hits += _count_rejected(planes, rejected_sums, min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS))
+        tally = _column_tally(planes, min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS))
+        hits += sum(c for s, c in tally.items() if s in rejected_sums)
     return RejectionRateEstimate(
         model=model,
         test=test,

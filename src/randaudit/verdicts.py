@@ -20,12 +20,7 @@ on counts, min(2 c, 2^n).  Counts stay ints until a record exposes a
 probability (``TestVerdict.p``, ``RejectionSet.exact_size``, the
 spectrum's keys, ``RunsDistribution.pmf``), where
 :func:`~randaudit.exact.dyadic` builds the reduced Fraction without a
-gcd: a rejection set builds one, a spectrum one per distinct tail.  At
-n = 5000 (warm row, best of 3 in eight processes a side, interleaved, on
-a shared 2-vCPU x86_64 machine, Python 3.11) a run-count
-``rejection_set`` took 10-23 ms and ``pvalue_spectrum`` 26-51 ms, 0.37
-to 0.51 of the time with a Fraction per value (24-49 and 67-107 ms);
-with a gcd per tail they had taken 0.3-0.5 s.
+gcd: a rejection set builds one, a spectrum one per distinct tail.
 
 A verdict pairs an observed statistic with its exact tail probability
 and a significance threshold, and derives whether it rejects from the

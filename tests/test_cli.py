@@ -461,7 +461,7 @@ class TestPosteriorRendering:
 
 
 SEQ = ("--seq", "HTTHTHHHT")
-# Paper-scale argv of every subcommand that must run without numpy.
+# Paper-scale argv of every subcommand; none may load numpy.
 WITHOUT_NUMPY = [
     ["--help"],
     ["runs-test", *SEQ],
@@ -473,6 +473,7 @@ WITHOUT_NUMPY = [
     ["flip-search", "--seq", "HHTHTTTHHT" * 30, "--test", "runs"],
     ["spectrum", *SEQ, "--test", "runs"],
     ["distribution", "--n", "9"],
+    ["distribution", "--n", "9", "--oracle"],
     ["rejection-set", "--test", "runs", "--n", "9"],
     ["rejection-set", "--test", "runs", "--n", "9", "--explicit"],
     ["simulate", "--model", "fair", "--test", "runs", "--n", "9", "--trials", "5000"],
@@ -481,25 +482,29 @@ WITHOUT_NUMPY = [
     ["posterior", *SEQ, "--model", "biased:p=3/5"],
     ["reproduce-paper"],
 ]
-# The enumeration oracle is numpy's user.
-WITH_NUMPY = [
-    ["distribution", "--n", "9", "--oracle"],
-]
 
 
 # Modules whose presence after a run is reported.  ``dataclasses`` and
 # ``inspect`` (with ``ast``, ``dis`` and ``tokenize`` behind it) cost a
-# process about a fifth of its start-up; numpy imports ``inspect`` itself.
+# process about a fifth of its start-up, and numpy more.
 WATCHED = ("numpy", "dataclasses", "inspect")
 
+# Both exhaustive oracles through the library, at the sizes the benchmark uses.
+ORACLES = (
+    "import randaudit\n"
+    "assert randaudit.enumerate_runs_distribution(20).counts == randaudit.runs_distribution(20).counts\n"
+    "assert randaudit.check_null_invariance(8).passed\n"
+    "code = 0\n"
+)
 
-def modules_loaded_after(argv: list[str] | None) -> set[str]:
-    """Run the CLI in a fresh interpreter, or only ``import randaudit`` for None.
+
+def modules_loaded_after(argv: list[str] | str) -> set[str]:
+    """Run the CLI in a fresh interpreter, or for a str that code, which sets ``code``.
 
     Requires exit 0 and returns the ``WATCHED`` modules that were imported.
     """
-    if argv is None:
-        run = "import randaudit\ncode = 0\n"
+    if isinstance(argv, str):
+        run = argv
     else:
         run = (
             "import contextlib, io\n"
@@ -521,18 +526,13 @@ def modules_loaded_after(argv: list[str] | None) -> set[str]:
 class TestNumpyIsLoadedOnlyWhereUsed:
     @pytest.mark.parametrize("argv", WITHOUT_NUMPY, ids=" ".join)
     def test_paper_scale_commands_run_without_numpy(self, argv):
-        loaded = modules_loaded_after(argv)
-        assert "numpy" not in loaded
-        assert not loaded & {"dataclasses", "inspect"}
+        assert modules_loaded_after(argv) == set()
 
-    @pytest.mark.parametrize("argv", WITH_NUMPY, ids=" ".join)
-    def test_dp_and_oracle_still_load_it(self, argv):
-        loaded = modules_loaded_after(argv)
-        assert "numpy" in loaded
-        assert "dataclasses" not in loaded  # numpy brings ``inspect`` in
+    def test_oracles_run_without_numpy(self):
+        assert modules_loaded_after(ORACLES) == set()
 
     def test_bare_import_loads_no_heavy_module(self):
-        assert modules_loaded_after(None) == set()
+        assert modules_loaded_after("import randaudit\ncode = 0\n") == set()
 
 
 # Every subcommand's options as ``build_parser()`` declared them before the

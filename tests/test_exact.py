@@ -64,10 +64,11 @@ class TestRunsCounts:
         closed = runs_distribution(n)
         assert tuple(tallies[1:]) == enumerated.counts == closed.counts
 
-    @pytest.mark.parametrize("n", [1, 2, 9, 14])
+    @pytest.mark.parametrize("n", [1, 2, 9, 14, ENUMERATION_CAP])
     def test_enumeration_cases(self, n):
         dist = enumerate_runs_distribution(n)
         assert sum(dist.counts) == 2**n
+        assert dist.counts == runs_distribution(n).counts
         if n == 2:
             assert dist.counts == (2, 2)
         if n == 9:
@@ -75,15 +76,12 @@ class TestRunsCounts:
         if n == 1:
             assert dist.counts == (2,)
 
-    def test_enumeration_cap(self):
-        with pytest.raises(CapExceededError):
-            enumerate_runs_distribution(ENUMERATION_CAP + 1)
-
-    def test_enumeration_refuses_lengths_beyond_uint32(self):
-        # The kernel packs sequences in uint32; a length past 32 must be
-        # refused before it scans 2^32 masks and overflows.
-        with pytest.raises(CapExceededError):
-            enumerate_runs_distribution(33)
+    @pytest.mark.parametrize("n", [ENUMERATION_CAP + 1, 33])
+    def test_enumeration_cap(self, n):
+        # 33 is refused too, before 2^33 sequences are scanned.
+        refusal = f"enumeration over 2\\^{n} sequences exceeds cap {ENUMERATION_CAP}"
+        with pytest.raises(CapExceededError, match=refusal):
+            enumerate_runs_distribution(n)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 33, 60])
     def test_normalization_closed_form(self, n):
