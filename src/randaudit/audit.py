@@ -238,22 +238,23 @@ class NullInvarianceReport(NamedTuple):
 def check_null_invariance(n: int) -> NullInvarianceReport:
     """Verify every mask permutes {0,1}^n, so the uniform law is fixed.
 
-    Each of the 2^n masks maps {0,1}^n, kept as one 2^n-bit int, by one
-    block swap per set bit of the mask, and the image must be all of
-    {0,1}^n: 2^n sequences then cover it exactly once, and a bijection
-    carries the equal-weight law to itself.  Exhaustive, hence capped.
+    Each of the 2^n masks maps {0,1}^n, kept as one 2^n-bit int, and the
+    image must be all of {0,1}^n: 2^n sequences then cover it exactly
+    once, and a bijection carries the equal-weight law to itself.  The
+    masks are taken in Gray-code order, so the i-th differs from the one
+    before in bit j, the trailing zeros of i, and its image is the one
+    before it with one block swap on plane j.  Exhaustive, hence capped.
     """
     if n < 1:
         raise ValueError("length must be at least 1")
     if n > INVARIANCE_CAP:
         raise CapExceededError(f"invariance check over 2^{n} masks exceeds cap {INVARIANCE_CAP}")
     size, planes = 1 << n, _lane_planes(n)
-    full = (1 << size) - 1
-    for m in range(size):
-        image = full  # bit y is set iff y = x ^ m for some x, taken one set bit of m at a time
-        for j, plane in enumerate(planes):
-            if m >> j & 1:
-                image = (image & plane) >> (1 << j) | (image ^ (image & plane)) << (1 << j)
-        if image != full:  # pragma: no cover - xor is a bijection
-            return NullInvarianceReport(n, m + 1, False)
+    full = image = (1 << size) - 1  # bit y is set iff y = x ^ m for some x; mask 0 maps onto all
+    for i in range(1, size):
+        j = (i & -i).bit_length() - 1
+        plane, width = planes[j], 1 << j
+        image = (image & plane) >> width | (image ^ (image & plane)) << width
+        if image != full:
+            return NullInvarianceReport(n, i + 1, False)
     return NullInvarianceReport(n, size, True)

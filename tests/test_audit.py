@@ -34,6 +34,7 @@ from randaudit import (
     statistic_pvalue,
     verdict_under_relabeling,
 )
+from randaudit import audit as audit_mod
 from randaudit.audit import _runs_reversal
 
 from oracles import brute_force_minimal
@@ -286,6 +287,16 @@ class TestNullInvariance:
         report = check_null_invariance(n)
         assert report.passed
         assert report.masks_checked == 2**n
+
+    @pytest.mark.parametrize("j", [0, 1, 3])
+    def test_fails_on_a_broken_swap(self, j, monkeypatch):
+        # With plane j all 0, the swap on bit j moves every sequence up by
+        # 2^j, and Gray order first flips bit j at the (2^j + 1)-th mask.
+        planes = audit_mod._lane_planes
+        monkeypatch.setattr(audit_mod, "_lane_planes", lambda n: [0 if i == j else p for i, p in enumerate(planes(n))])
+        report = check_null_invariance(5)
+        assert report.passed is False
+        assert report.masks_checked == 2**j + 1
 
     def test_cap(self):
         with pytest.raises(CapExceededError):

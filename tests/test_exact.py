@@ -39,6 +39,15 @@ from randaudit import (
 )
 
 
+@lru_cache(maxsize=None)
+def _literal_runs_counts(n: int) -> tuple[int, ...]:
+    """Run-count counts for r = 1..n from count_runs over every bit tuple: the slowest, most direct route."""
+    tallies = [0] * (n + 1)
+    for bits in product((0, 1), repeat=n):
+        tallies[count_runs(BinarySequence(bits))] += 1
+    return tuple(tallies[1:])
+
+
 class TestRunsCounts:
     def test_known_values(self):
         # 112 frozen from the brute force over all 512 length-9 sequences.
@@ -54,15 +63,20 @@ class TestRunsCounts:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_literal_oracle_agrees(self, n):
-        # Tally count_runs over every bit tuple: the slowest, most direct
-        # route.  It must match both the fast enumeration and the closed
-        # form.
-        tallies = [0] * (n + 1)
-        for bits in product((0, 1), repeat=n):
-            tallies[count_runs(BinarySequence(bits))] += 1
+        # The literal tally must match both the fast enumeration and the
+        # closed form.
         enumerated = enumerate_runs_distribution(n)
         closed = runs_distribution(n)
-        assert tuple(tallies[1:]) == enumerated.counts == closed.counts
+        assert _literal_runs_counts(n) == enumerated.counts == closed.counts
+
+    @pytest.mark.parametrize("chunk", [1 << 2, 1 << 3])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_literal_oracle_agrees_over_chunks(self, n, chunk, monkeypatch):
+        # Small chunks put up to 2^10 chunks under one enumeration, so the
+        # two shared tallies, the switch at the chunk boundary and the
+        # shift by the switches among chunk bits all meet the literal tally.
+        monkeypatch.setattr(exact, "_CHUNK", chunk)
+        assert enumerate_runs_distribution(n).counts == _literal_runs_counts(n)
 
     @pytest.mark.parametrize("n", [1, 2, 9, 14, ENUMERATION_CAP])
     def test_enumeration_cases(self, n):
