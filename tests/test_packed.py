@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from randaudit import (
+    TAIL_LENGTH_LIMIT,
     BinarySequence,
     ParseError,
     RelabelMask,
@@ -17,6 +18,7 @@ from randaudit import (
     likelihood,
     mask_from_index_set,
     parse_sequence,
+    sequences,
 )
 
 LENGTHS = [1, 2, 63, 64, 65, *random.Random(20120525).sample(range(3, 301), 12)]
@@ -144,3 +146,37 @@ def test_a_million_positions_take_under_a_tenth_of_a_second():
     assert len(text) == n and text == format(value, f"0{n}b")[::-1].replace("1", "H").replace("0", "T")
     assert runs == 1 + sum(a != b for a, b in zip(text, text[1:]))
     assert relabeled.value == value ^ flips
+
+
+# Masks up to TAIL_LENGTH_LIMIT long share one tuple of position ints.
+CAP = TAIL_LENGTH_LIMIT
+
+
+@pytest.mark.parametrize("n", [1, CAP - 1, CAP, CAP + 1])
+def test_positions_at_the_shared_tuple_cap_match_generator_expressions(n):
+    rng = random.Random(n)
+    for value in (0, (1 << n) - 1, 1, 1 << (n - 1), rng.getrandbits(n), rng.getrandbits(n)):
+        mask = RelabelMask.from_int(value, n)
+        _, flipped, kept = generator_positions(mask)
+        assert mask.flipped_positions() == flipped
+        assert mask.index_set() == kept
+    assert len(sequences._shared_positions) <= CAP
+
+
+@pytest.mark.parametrize("n", [1, 2, 300, CAP, CAP + 1])
+def test_the_identity_mask_flips_no_position(n):
+    assert RelabelMask.from_int(0, n).flipped_positions() == ()
+    assert RelabelMask.from_int(0, n).index_set() == tuple(range(1, n + 1))
+
+
+def test_a_million_position_mask_leaves_the_shared_tuple_within_the_cap(monkeypatch):
+    monkeypatch.setattr(sequences, "_shared_positions", ())
+    n = 10**6
+    mask = RelabelMask.from_int(random.Random(10).getrandbits(n), n)
+    kept = mask.index_set()
+    assert len(kept) == n - mask.flip_count() and kept[-1] <= n
+    assert len(sequences._shared_positions) <= CAP
+    RelabelMask.from_int(1, CAP).index_set()
+    assert len(sequences._shared_positions) == CAP
+    mask.flipped_positions()
+    assert len(sequences._shared_positions) == CAP
