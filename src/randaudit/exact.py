@@ -22,15 +22,21 @@ A row starts at its centre, where S(m//2 + 1) is 2^(m-1) for odd m and
 (2^m + C(m, m/2)) / 2 for even m, and is filled outward only as far as a
 query reaches, both halves at once since S(j) + S(m + 1 - j) = 2^m.  The
 observed statistic of a typical sequence lies within about sqrt(m) of
-the centre, so a verdict at a new length costs the one math.comb of the
-centre coefficient (0.2 ms at m = 2047, 1.0 ms at m = 4999) and a few
-dozen steps: both verdicts of a random sequence take 0.3 ms from cold at
-n = 2048 and 1.1-1.4 ms at n = 5000.  A query at an end of a law fills
-the whole row, m/2 steps: 1.4 ms at m = 2047 and 5.3 ms at m = 4999,
-where a full row holds 0.55 MB and 3 MB (times on a 2-vCPU x86_64
-machine, Python 3.11).  Exact tails refuse lengths above
-TAIL_LENGTH_LIMIT = 5000 with CapExceededError, before anything is
-allocated.
+the centre, so a verdict at a new length costs the centre coefficient
+and a few dozen steps, and a query at an end of a law fills the whole
+row, m/2 steps.  Exact tails refuse lengths above TAIL_LENGTH_LIMIT =
+5000 with CapExceededError, before anything is allocated.
+
+The centre coefficient C(m, k), k = m//2, is built from its prime
+factorisation (Goetgheluck, Amer. Math. Monthly 94, 1987).  By
+Legendre's formula, the exponent of a prime p in m!/(k!(m - k)!) is the
+sum over i of floor(m/p^i) - floor(k/p^i) - floor((m - k)/p^i), which
+for p > sqrt(m) is its first term alone, 0 or 1; every prime above
+m - k appears once.  The route is used because the product of these
+few hundred small factors costs far less, at the lengths a verdict
+reaches, than the standard library's general binomial, and the centre
+was most of the cost of a verdict at a new length.  The primes come
+from one sieve up to TAIL_LENGTH_LIMIT, built on first use.
 
 Every probability built here is a count over 2^n, and :func:`dyadic`
 builds it: shifting out the count's trailing zeros gives the reduced
@@ -48,10 +54,12 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_right
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import compress
+from math import isqrt, prod
 from typing import Callable, Iterator, NamedTuple
 
 __all__ = [
@@ -243,6 +251,43 @@ def check_tail_length(n: int) -> None:
         raise CapExceededError(f"exact tails at length {n} exceed the limit {TAIL_LENGTH_LIMIT}")
 
 
+# The primes up to TAIL_LENGTH_LIMIT, for centre coefficients; empty until
+# the first row is built, then published whole in one assignment, so a
+# concurrent reader sees no table or all of it.
+_primes: tuple[int, ...] = ()
+
+
+def _sieve() -> tuple[int, ...]:
+    """Publish the shared table of the primes up to TAIL_LENGTH_LIMIT."""
+    global _primes
+    limit = TAIL_LENGTH_LIMIT
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    primes = _primes = tuple(compress(range(limit + 1), flags))
+    return primes
+
+
+def _central_binomial(m: int) -> int:
+    """C(m, m//2) as the product of its prime powers, by Legendre's formula, for 0 <= m <= TAIL_LENGTH_LIMIT."""
+    primes = _primes or _sieve()
+    k = m // 2
+    j = m - k
+    small = bisect_right(primes, isqrt(m))
+    single = bisect_right(primes, j)
+    factors = []
+    for p in primes[:small]:
+        e, q = 0, p
+        while q <= m:
+            e += m // q - k // q - j // q
+            q *= p
+        factors.append(p**e)
+    factors += [p for p in primes[small:single] if m // p - k // p - j // p]
+    return prod(factors) * prod(primes[single : bisect_right(primes, m)])
+
+
 class _PrefixRow:
     """Prefix sums of row m of Pascal's triangle, filled outward from the centre.
 
@@ -261,7 +306,7 @@ class _PrefixRow:
     def __init__(self, m: int) -> None:
         total = 1 << m
         half = m // 2
-        middle = comb(m, half)
+        middle = _central_binomial(m)
         sums: list[int | None] = [None] * (m + 4)
         sums[0], sums[m + 1], sums[m + 2], sums[m + 3] = 0, total, total, 0
         centre = (total + middle) >> 1 if m % 2 == 0 else total >> 1

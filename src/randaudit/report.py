@@ -30,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from json.encoder import encode_basestring
 from math import inf
+from operator import itemgetter
 
 from .audit import AuditResult, verdict_under_relabeling
 from .exact import TAIL_LENGTH_LIMIT, decimal_string, prob_dict
@@ -80,15 +81,17 @@ def _grow_int_text(top: int) -> dict[int, str]:
     return table
 
 
-def _int_texts(value) -> list[str]:
-    """The decimal texts of a list of exact ints, from the shared table when they all fall in its range."""
+def _int_texts(value) -> list[str] | tuple[str, ...]:
+    """The decimal texts of a nonempty list of exact ints, from the shared table when they all fall in its range."""
     try:
-        return list(map(_int_text.__getitem__, value))
+        texts = itemgetter(*value)(_int_text)
     except KeyError:
         top = max(value)
         if top <= _INT_TEXT_CAP and min(value) >= 0:
             return list(map(_grow_int_text(top).__getitem__, value))
         return list(map(int.__repr__, value))
+    # An itemgetter of one key returns that item, not a 1-tuple.
+    return texts if len(value) > 1 else (texts,)
 
 
 def _render(value, newline: str) -> str:
@@ -113,7 +116,8 @@ def _render(value, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        if set(map(type, value)) == {int}:
+        # Exact types, so a bool or an integral float never reaches the int table.
+        if list(map(type, value)).count(int) == len(value):
             items = _int_texts(value)
         else:
             items = [_render(item, inner) for item in value]

@@ -203,9 +203,13 @@ def count_ones(seq: BinarySequence) -> int:
 
 
 class RelabelMask(_Packed):
-    """A per-position flip pattern; True inverts the reading there."""
+    """A per-position flip pattern; True inverts the reading there.
 
-    __slots__ = ()
+    ``_kept`` holds the index set once :meth:`index_set` has built it; it
+    is no field, so equality, hashing, copies and pickles ignore it.
+    """
+
+    __slots__ = ("_kept",)
 
     def __init__(self, flips: Sequence[bool]) -> None:
         if len(flips) == 0:
@@ -258,8 +262,14 @@ class RelabelMask(_Packed):
         return self._positions(_FLIPPED)
 
     def index_set(self) -> tuple[int, ...]:
-        """The kept positions: the 1-based index set X this mask encodes."""
-        return self._positions(_KEPT)
+        """The kept positions: the 1-based index set X this mask encodes, built on the first call."""
+        try:
+            return self._kept
+        except AttributeError:
+            # Threads that race here build equal tuples, and the slot takes one of them whole.
+            kept = self._positions(_KEPT)
+            object.__setattr__(self, "_kept", kept)
+            return kept
 
     def compose(self, other: "RelabelMask") -> "RelabelMask":
         """Apply ``other`` after ``self``; flips combine by exclusive-or."""

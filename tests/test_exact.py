@@ -404,14 +404,15 @@ class TestOneRowPerLength:
 
 @pytest.fixture
 def comb_calls(monkeypatch):
-    """The lengths ``exact`` passes to math.comb while the test runs."""
+    """The lengths whose centre coefficient ``exact`` builds while the test runs."""
     calls = []
-    monkeypatch.setattr(exact, "comb", lambda m, k: calls.append(m) or comb(m, k))
+    central = exact._central_binomial
+    monkeypatch.setattr(exact, "_central_binomial", lambda m: calls.append(m) or central(m))
     return calls
 
 
 def _cold_verdict_pair(seq, comb_calls) -> None:
-    """A cold runs_test and binomial_test build row n - 1 alone, with one math.comb."""
+    """A cold runs_test and binomial_test build row n - 1 alone, with one centre coefficient."""
     cached = exact._binomial_prefix_sums
     cached.cache_clear()
     runs_test(seq)
@@ -424,7 +425,7 @@ def _cold_verdict_pair(seq, comb_calls) -> None:
 
 
 class TestCentralBinomial:
-    """A verdict pair at a new length pays one math.comb, the centre of its one row."""
+    """A verdict pair at a new length pays one centre coefficient, that of its one row."""
 
     def test_one_comb_per_verdict_pair(self, comb_calls):
         _cold_verdict_pair(BinarySequence.from_int(random.Random(2047).getrandbits(2048), 2048), comb_calls)
@@ -432,6 +433,71 @@ class TestCentralBinomial:
     @pytest.mark.parametrize("n", [1, 2, 9, 4999, 5000])
     def test_cold_verdict_pair_builds_row_n_minus_1_alone(self, n, comb_calls):
         _cold_verdict_pair(BinarySequence.from_int(random.Random(n).getrandbits(n), n), comb_calls)
+
+
+def _prime_square_neighbours() -> list[int]:
+    """p^2 - 1, p^2 and p^2 + 1 for each prime p with p^2 <= TAIL_LENGTH_LIMIT, by trial division."""
+    primes = [p for p in range(2, 71) if all(p % d for d in range(2, p))]
+    return [q + d for p in primes if (q := p * p) <= TAIL_LENGTH_LIMIT for d in (-1, 0, 1)]
+
+
+_CENTRE_LENGTHS = sorted(
+    {
+        *range(1101),
+        *_prime_square_neighbours(),
+        *(m for j in range(1, 13) for m in (2**j - 1, 2**j + 1)),
+        *range(4990, TAIL_LENGTH_LIMIT),
+    }
+)
+
+
+class TestCentreByPrimeFactors:
+    """The centre coefficient of a row, from its prime factorisation, against math.comb."""
+
+    def test_every_length_to_1100_and_the_edge_cases(self):
+        wrong = [m for m in _CENTRE_LENGTHS if exact._central_binomial(m) != comb(m, m // 2)]
+        assert wrong == []
+
+    def test_the_sieve_stops_at_the_limit(self):
+        primes = exact._primes or exact._sieve()
+        assert primes[-1] <= TAIL_LENGTH_LIMIT and primes[:6] == (2, 3, 5, 7, 11, 13)
+        assert len(primes) == 669  # pi(5000)
+
+    def test_cold_start_from_many_threads(self, monkeypatch):
+        workers, rounds = 8, 6
+        lengths = [4999 - 97 * i for i in range(workers)]
+        expected = {m: comb(m, m // 2) for m in lengths}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(rounds):
+                monkeypatch.setattr(exact, "_primes", ())
+                wrong = []
+                together = threading.Barrier(workers, timeout=60)
+
+                def build(m: int) -> None:
+                    together.wait()
+                    try:
+                        row = exact._PrefixRow(m)
+                        h, term = row.edge
+                        half = m // 2
+                        centre = (2**m + expected[m]) >> 1 if m % 2 == 0 else 2 ** (m - 1)
+                        ok = row.sums[half + 1] == centre and term == comb(m, h)
+                    except Exception as exc:  # a thread's exception would not reach the test
+                        ok = exc
+                    if ok is not True:
+                        wrong.append((m, ok))
+
+                threads = [threading.Thread(target=build, args=(m,)) for m in lengths]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert wrong == []
+                assert len(exact._primes) == 669
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestProbabilityHelpers:

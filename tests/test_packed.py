@@ -1,6 +1,8 @@
 """The packed (value, n) layout against tuple tallies written here."""
 
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -180,3 +182,53 @@ def test_a_million_position_mask_leaves_the_shared_tuple_within_the_cap(monkeypa
     assert len(sequences._shared_positions) == CAP
     mask.flipped_positions()
     assert len(sequences._shared_positions) == CAP
+
+
+@pytest.mark.parametrize("n", [1, 9, 300, CAP, CAP + 1])
+def test_a_mask_builds_its_index_set_once(n):
+    # Position n is kept, so the index set is never the shared empty tuple.
+    mask = RelabelMask.from_int(random.Random(-n).getrandbits(n) >> 1, n)
+    _, flipped, kept = generator_positions(mask)
+    assert mask.flipped_positions() == flipped
+    first = mask.index_set()
+    assert first == kept and mask.index_set() is first
+    assert mask.flipped_positions() == flipped
+    # A mask equal to this one but built apart keeps its own set.
+    twin = RelabelMask.from_int(mask.value, n)
+    assert twin.index_set() == first and twin.index_set() is not first
+
+
+def test_a_cached_index_set_keeps_the_shared_tuple_within_the_cap(monkeypatch):
+    monkeypatch.setattr(sequences, "_shared_positions", ())
+    n = 10**6
+    mask = RelabelMask.from_int(random.Random(11).getrandbits(n), n)
+    kept = mask.index_set()
+    assert mask.index_set() is kept and len(kept) == n - mask.flip_count()
+    assert len(sequences._shared_positions) <= CAP
+
+
+def test_threads_reading_fresh_masks_get_one_index_set():
+    workers, n = 8, CAP
+    rng = random.Random(12)
+    masks = [RelabelMask.from_int(rng.getrandbits(n) >> 1, n) for _ in range(40)]
+    expected = [generator_positions(mask)[2] for mask in masks]
+    seen = [[] for _ in range(workers)]
+    together = threading.Barrier(workers, timeout=60)
+
+    def read(i: int) -> None:
+        together.wait()
+        seen[i] = [mask.index_set() for mask in masks]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(sets == expected for sets in seen)
+    assert [mask.index_set() for mask in masks] == expected
