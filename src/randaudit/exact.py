@@ -36,7 +36,11 @@ m - k appears once.  The route is used because the product of these
 few hundred small factors costs far less, at the lengths a verdict
 reaches, than the standard library's general binomial, and the centre
 was most of the cost of a verdict at a new length.  The primes come
-from one sieve up to TAIL_LENGTH_LIMIT, built on first use.
+from one sieve up to TAIL_LENGTH_LIMIT, built on first use.  At short
+lengths the standard library is the faster of the two, so the centres
+of the CENTRES_CACHED most recent lengths are kept: a batch that keeps
+returning to a few hundred lengths rebuilds a row evicted from the
+two-row cache without factoring its centre again.
 
 Every probability built here is a count over 2^n, and :func:`dyadic`
 builds it: shifting out the count's trailing zeros gives the reduced
@@ -96,6 +100,10 @@ TAIL_LENGTH_LIMIT = 5000
 # is kept partly filled and extended in place, so a later query at the same
 # length pays only for the entries it adds.
 TAIL_TABLES_CACHED = 2
+# Centre coefficients are kept for the 256 most recent lengths, at most
+# 0.2 MB at the length limit, so a batch that cycles through a few hundred
+# lengths rebuilds an evicted row without factoring its centre again.
+CENTRES_CACHED = 256
 
 
 class CapExceededError(ValueError):
@@ -270,6 +278,7 @@ def _sieve() -> tuple[int, ...]:
     return primes
 
 
+@lru_cache(maxsize=CENTRES_CACHED)
 def _central_binomial(m: int) -> int:
     """C(m, m//2) as the product of its prime powers, by Legendre's formula, for 0 <= m <= TAIL_LENGTH_LIMIT."""
     primes = _primes or _sieve()

