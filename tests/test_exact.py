@@ -435,55 +435,51 @@ class TestCentralBinomial:
         _cold_verdict_pair(BinarySequence.from_int(random.Random(n).getrandbits(n), n), comb_calls)
 
 
-def _prime_square_neighbours() -> list[int]:
-    """p^2 - 1, p^2 and p^2 + 1 for each prime p with p^2 <= TAIL_LENGTH_LIMIT, by trial division."""
-    primes = [p for p in range(2, 71) if all(p % d for d in range(2, p))]
-    return [q + d for p in primes if (q := p * p) <= TAIL_LENGTH_LIMIT for d in (-1, 0, 1)]
+@lru_cache(maxsize=None)
+def _comb_centres() -> tuple[int, ...]:
+    """C(m, m//2) for m = 0..TAIL_LENGTH_LIMIT, by math.comb."""
+    return tuple(comb(m, m // 2) for m in range(TAIL_LENGTH_LIMIT + 1))
 
 
-_CENTRE_LENGTHS = sorted(
-    {
-        *range(1101),
-        *_prime_square_neighbours(),
-        *(m for j in range(1, 13) for m in (2**j - 1, 2**j + 1)),
-        *range(4990, TAIL_LENGTH_LIMIT),
-    }
-)
+class TestCentreTable:
+    """The shared table of centre coefficients, grown by their two-step recurrence, against math.comb."""
 
-
-class TestCentreByPrimeFactors:
-    """The centre coefficient of a row, from its prime factorisation, against math.comb."""
-
-    def test_every_length_to_1100_and_the_edge_cases(self):
-        exact._central_binomial.cache_clear()
-        wrong = [m for m in _CENTRE_LENGTHS if exact._central_binomial(m) != comb(m, m // 2)]
+    def test_every_length_to_the_limit(self, monkeypatch):
+        expected = _comb_centres()
+        monkeypatch.setattr(exact, "_centres", ())
+        # Ascending from an empty table, so that each length grows it by one entry.
+        wrong = [m for m in range(TAIL_LENGTH_LIMIT + 1) if exact._central_binomial(m) != expected[m]]
         assert wrong == []
+        assert exact._centres == expected
 
-    def test_the_sieve_stops_at_the_limit(self):
-        primes = exact._primes or exact._sieve()
-        assert primes[-1] <= TAIL_LENGTH_LIMIT and primes[:6] == (2, 3, 5, 7, 11, 13)
-        assert len(primes) == 669  # pi(5000)
+    def test_one_growth_from_empty_to_the_limit(self, monkeypatch):
+        monkeypatch.setattr(exact, "_centres", ())
+        assert exact._central_binomial(TAIL_LENGTH_LIMIT) == comb(TAIL_LENGTH_LIMIT, TAIL_LENGTH_LIMIT // 2)
+        assert exact._centres == _comb_centres()
 
-    def test_a_rebuilt_row_reuses_its_centre(self):
-        central, rows = exact._central_binomial, exact._binomial_prefix_sums
-        central.cache_clear()
+    def test_a_rebuilt_row_reads_its_centre_without_growing_the_table(self, monkeypatch):
+        rows = exact._binomial_prefix_sums
+        monkeypatch.setattr(exact, "_centres", ())
         rows.cache_clear()
         # Two rows are kept, so row 300 is evicted by 302 and then built again.
-        for m in (300, 301, 302, 300):
+        for m in (300, 301, 302):
             rows(m)
-        info = central.cache_info()
-        assert (info.hits, info.misses, info.maxsize) == (1, 3, exact.CENTRES_CACHED)
+        table = exact._centres
+        assert len(table) == 303 and table == _comb_centres()[:303]
+        row = rows(300)
+        assert rows.cache_info().misses == 4
+        assert exact._centres is table
+        assert row.sums[151] == (2**300 + comb(300, 150)) >> 1
 
     def test_cold_start_from_many_threads(self, monkeypatch):
         workers, rounds = 8, 6
         lengths = [4999 - 97 * i for i in range(workers)]
-        expected = {m: comb(m, m // 2) for m in lengths}
+        expected = _comb_centres()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(rounds):
-                monkeypatch.setattr(exact, "_primes", ())
-                exact._central_binomial.cache_clear()
+                monkeypatch.setattr(exact, "_centres", ())
                 wrong = []
                 together = threading.Barrier(workers, timeout=60)
 
@@ -507,7 +503,9 @@ class TestCentreByPrimeFactors:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in threads)
                 assert wrong == []
-                assert len(exact._primes) == 669
+                # Whichever growth was published last, the table is a correct prefix past the shortest row.
+                table = exact._centres
+                assert len(table) > min(lengths) and table == expected[: len(table)]
         finally:
             sys.setswitchinterval(interval)
 

@@ -149,6 +149,27 @@ class TestRejectionRate:
         with pytest.raises(ValueError):
             rejection_rate(SourceModel.fair(), RUNS, 9, ALPHA, trials=0, seed=1)
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("test", [RUNS, BINOMIAL])
+    def test_seeded_stream_across_blocks_is_pinned(self, test, seed):
+        # The documented layout, rebuilt here: block b of 4096 trials draws from
+        # random.Random(f"{seed}:{b}"), a fair plane is the complement of one
+        # getrandbits(4096), and trial t is bit t mod 4096 of its block's planes.
+        # At alpha = 1/3 the regions hold 29% (runs) and 51% of the null mass, so
+        # a trial read from another lane moves the count as often as not.
+        n, width, trials, alpha = 9, 4096, 2 * 4096 + 100, Fraction(1, 3)
+        region = set(rejection_set(test, n, alpha).statistic_values)
+        assert region == ({1, 2, 3, 7, 8, 9} if test == RUNS else {0, 1, 2, 3, 6, 7, 8, 9})
+        expected = 0
+        for block in range(-(-trials // width)):
+            rng = random.Random(f"{seed}:{block}")
+            planes = [rng.getrandbits(width) ^ (2**width - 1) for _ in range(n)]
+            for lane in range(min(width, trials - block * width)):
+                bits = [plane >> lane & 1 for plane in planes]
+                value = 1 + sum(a != b for a, b in zip(bits, bits[1:])) if test == RUNS else sum(bits)
+                expected += value in region
+        assert rejection_rate(SourceModel.fair(), test, n, alpha, trials=trials, seed=seed).rejected == expected
+
 
 class TestPosteriorOdds:
     def test_identical_models_keep_prior(self):
