@@ -83,9 +83,10 @@ _CHUNK = 1 << 14
 # Exact tails are refused above this length.  Two full cached rows then
 # take 6 MB, and 2^n has 1,506 decimal digits, within Python's 4,300-digit
 # limit on int-to-str conversion that JSON reports of counts rely on.  The
-# largest report, the exact distribution table, takes about 6 s and
-# 220 MB to render 44 MB of decimals at this length; at 10,000 it took
-# 37 s and 790 MB.
+# largest report, the exact distribution table, takes about 3.8 s and a
+# 179 MB peak RSS as a `python -m randaudit distribution --n 5000` process
+# writing 44 MB of decimals (2-vCPU x86_64, Python 3.11); with the limit
+# lifted to 10,000 it took 25 s and 535 MB to write 174 MB.
 TAIL_LENGTH_LIMIT = 5000
 # Rows are kept for the two most recent lengths, one row per length.  A row
 # is kept partly filled and extended in place, so a later query at the same

@@ -11,29 +11,18 @@ index sets X = {1,4,9} and Y = {2,3,5,9}, and the resulting verdict
 reversals, and compares every value against pinned expectations.  Any
 deviation is reported and turns the run into a failure.
 
-``to_json`` returns, byte for byte, the text of
-``json.dumps(report, indent=2, ensure_ascii=False) + "\n"`` for the
-values reports hold: dicts with str keys, lists and tuples (rendered as
-lists), str, int, float (json's rule, ``NaN`` and ``Infinity``
-included), bool and None.  Any other value, and unlike json any non-str
-key, raises TypeError.  json runs its pure-Python encoder whenever
-``indent`` is set; this renderer spends its time in json's C string
-encoder and ``str.join``.  A list of ints takes each decimal text from a
-shared table of the ints 0..TAIL_LENGTH_LIMIT + 1, the range of every
-position, run count and head count of a testable sequence, rather than
-from ``int.__repr__``: on a list of 450 positions the lookup takes half
-the time.  Ints outside that range go through ``int.__repr__``.
+``to_json`` writes a report as one line of JSON, on json's C encoder.
+``--pretty`` is the CLI's view for people; ``python -m json.tool`` indents
+a report.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
-from json.encoder import encode_basestring
-from math import inf
-from operator import itemgetter
 
 from .audit import AuditResult, verdict_under_relabeling
-from .exact import TAIL_LENGTH_LIMIT, decimal_string, prob_dict
+from .exact import decimal_string, prob_dict
 from .sequences import mask_from_index_set, parse_sequence
 from .verdicts import BINOMIAL, ONE_SIDED, RUNS, TWO_SIDED_DOUBLED, TestVerdict, binomial_test, runs_test
 
@@ -51,86 +40,8 @@ def build_report(command: str, inputs: dict, results: list, notes: list[str]) ->
 
 
 def to_json(report: dict) -> str:
-    """The report as indented JSON text, ending in a newline."""
-    return _render(report, "\n") + "\n"
-
-
-# The values rendered without recursion, by exact type, so a bool never renders as an int.
-_SCALARS = {
-    str: encode_basestring,
-    int: int.__repr__,
-    bool: ("false", "true").__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-# Decimal texts of the ints 0..len - 1, for int lists.  The table grows at
-# least twofold, up to 0.._INT_TEXT_CAP, and each growth is published in one
-# assignment, so a concurrent render sees the old dict or the new one, never
-# a part of either.  Of two growths that race, the smaller may be published
-# last; a later render then grows it again.
-_INT_TEXT_CAP = TAIL_LENGTH_LIMIT + 1
-_int_text: dict[int, str] = {}
-
-
-def _grow_int_text(top: int) -> dict[int, str]:
-    """Publish a shared text table holding at least 0..top, for top <= _INT_TEXT_CAP."""
-    global _int_text
-    size = min(_INT_TEXT_CAP + 1, max(top + 1, 2 * len(_int_text)))
-    table = _int_text = dict(zip(range(size), map(int.__repr__, range(size))))
-    return table
-
-
-def _int_texts(value) -> list[str] | tuple[str, ...]:
-    """The decimal texts of a nonempty list of exact ints, from the shared table when they all fall in its range."""
-    try:
-        texts = itemgetter(*value)(_int_text)
-    except KeyError:
-        top = max(value)
-        if top <= _INT_TEXT_CAP and min(value) >= 0:
-            return list(map(_grow_int_text(top).__getitem__, value))
-        return list(map(int.__repr__, value))
-    # An itemgetter of one key returns that item, not a 1-tuple.
-    return texts if len(value) > 1 else (texts,)
-
-
-def _render(value, newline: str) -> str:
-    """``value`` as json renders it at ``indent=2``; ``newline`` is the line break plus the current indent."""
-    kind = type(value)
-    scalar = _SCALARS.get(kind)
-    if scalar is not None:
-        return scalar(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = []
-        for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            scalar = _SCALARS.get(type(item))
-            text = scalar(item) if scalar is not None else _render(item, inner)
-            items.append(f"{encode_basestring(key)}: {text}")
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        # Exact types, so a bool or an integral float never reaches the int table.
-        if list(map(type, value)).count(int) == len(value):
-            items = _int_texts(value)
-        else:
-            items = [_render(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if kind is float:
-        if value != value:
-            return "NaN"
-        if value == inf:
-            return "Infinity"
-        if value == -inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    """The report as one line of JSON text, ending in a newline."""
+    return json.dumps(report, ensure_ascii=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,68 +1,19 @@
-"""The report renderer against json.dumps itself, its oracle."""
+"""Reports as one line of JSON: the goldens, a round trip through the CLI, and what cannot be rendered."""
 
 from __future__ import annotations
 
 import json
+import random
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from randaudit import report
+from randaudit import cli
 from randaudit.report import to_json
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def oracle(value) -> str:
-    return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
-
-
-text = st.one_of(
-    st.text(),
-    st.text(st.characters(exclude_categories=())),  # lone surrogates included
-    st.text(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "🎲", " ", "\ud800", "/"])),
-)
-scalars = st.one_of(
-    text,
-    st.integers(),
-    st.integers(-(2**5000), 2**5000),
-    st.sampled_from([0, -1, 2**5000, -(2**5000)]),
-    st.booleans(),
-    st.none(),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324]),
-)
-values = st.recursive(
-    scalars,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=6),
-        st.lists(inner, max_size=6).map(tuple),
-        st.lists(st.integers(), max_size=6),
-        st.dictionaries(text, inner, max_size=6),
-    ),
-    max_leaves=25,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(st.dictionaries(text, values, max_size=4), values))
-def test_matches_json_on_nested_values(value):
-    assert to_json(value) == oracle(value)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [{}, [], (), {"a": []}, {"a": {}}, [[]], [True, False, None, 0, 1], [1, True, 0, False], {"x": (1, 2)}, 1, True, None],
-    ids=repr,
-)
-def test_edge_cases(value):
-    assert to_json(value) == oracle(value)
-
 
 # A --pretty, CSV or error golden holds no JSON report.
 REPORTS = {
@@ -73,96 +24,134 @@ REPORTS = {
 
 
 @pytest.mark.parametrize("name", REPORTS)
-def test_rerenders_every_golden_report(name):
-    report = json.loads(REPORTS[name])
-    assert to_json(report) == oracle(report) == REPORTS[name]
+def test_every_golden_report_is_one_line_of_json(name):
+    stdout = REPORTS[name]
+    assert stdout.count("\n") == 1 and stdout.endswith("\n")
+    report = json.loads(stdout)
+    assert stdout == json.dumps(report, ensure_ascii=False) + "\n" == to_json(report)
 
 
-@pytest.mark.parametrize("value", [{1: "a"}, {"a": {2: "b"}}, [{None: 1}], {"p": Fraction(1, 2)}, [Fraction(1, 3)], {1, 2}])
-def test_refuses_what_it_cannot_render(value):
+def test_strings_stay_unescaped_on_one_line():
+    report = {"vocab": "schmails/schmeads é 🎲", "note": "a\nb\t\"c\""}
+    text = to_json(report)
+    assert text.count("\n") == 1 and "é 🎲" in text
+    assert json.loads(text) == report
+
+
+@pytest.mark.parametrize("value", [{"p": Fraction(1, 2)}, [Fraction(1, 3)], {1, 2}, {"s": {1}}], ids=repr)
+def test_refuses_what_json_cannot_render(value):
     with pytest.raises(TypeError):
         to_json(value)
 
 
-# The shared text table of int lists, at its edges.
-CAP = report._INT_TEXT_CAP
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-3, CAP + 3), max_size=40))
-def test_int_lists_across_the_table_range_match_json(value):
-    assert to_json(value) == oracle(value)
-    assert to_json(tuple(value)) == oracle(value)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [[True, 1, 0, False], [1, 2, True], [CAP, False], [False, CAP + 1], [0, 1, 2, True, 3], [True] * 5],
-    ids=repr,
-)
-def test_lists_mixing_bools_and_ints_render_bools_as_json_does(value):
-    assert to_json(value) == oracle(value)
-
-
-@pytest.mark.parametrize("value", [[2**5000], [-1], [CAP], [CAP + 1], [0, -(2**5000)], [CAP, CAP + 1, 0]], ids=str)
-def test_int_lists_at_and_beyond_the_table_edges(value):
-    assert to_json(value) == oracle(value)
-    assert len(report._int_text) <= CAP + 1
-
-
-# [300] is one text of several digits, read from the warm table by a one-key itemgetter.
-@pytest.mark.parametrize("table", ["cold", "warm"])
-@pytest.mark.parametrize("value", [[0], [300], [2**70], [True], (3,), [1, True], [2, 2.0]], ids=repr)
-def test_one_element_and_inexact_int_lists(value, table, monkeypatch):
-    monkeypatch.setattr(report, "_int_text", {} if table == "cold" else report._grow_int_text(CAP))
-    assert to_json(value) == oracle(value)
-    assert to_json({"x": value}) == oracle({"x": value})
-
-
-def test_int_lists_beyond_the_digit_limit_raise_as_json_does():
-    value = [10**5000]
+def test_ints_beyond_the_digit_limit_raise():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)  # Python's default
     try:
         with pytest.raises(ValueError):
-            oracle(value)
-        with pytest.raises(ValueError):
-            to_json(value)
+            to_json({"count": [10**5000]})
     finally:
         sys.set_int_max_str_digits(limit)
 
 
-def test_the_table_grows_several_times_in_one_process(monkeypatch):
-    monkeypatch.setattr(report, "_int_text", {})
-    sizes = []
-    for top in [0, 40, 300, 1000, 2600, CAP - 1, CAP]:
-        value = [top, *range(0, top, max(1, top // 7))]
-        assert to_json(value) == oracle(value)
-        sizes.append(len(report._int_text))
-        assert top < sizes[-1] <= CAP + 1
-    assert len(set(sizes)) >= 5 and sizes == sorted(sizes)
-    assert to_json([CAP + 1]) == oracle([CAP + 1])
-    assert len(report._int_text) == CAP + 1
+def typed(value):
+    """``value`` with its types and key order spelled out, tuples as lists, so == compares what JSON keeps."""
+    if type(value) is dict:
+        return ["dict", [[key, typed(item)] for key, item in value.items()]]
+    if type(value) in (list, tuple):
+        return ["list", [typed(item) for item in value]]
+    return [type(value).__name__, value]
 
 
-def test_threads_growing_a_cold_table_render_as_json_does(monkeypatch):
-    monkeypatch.setattr(report, "_int_text", {})
-    tops = [7, 90, 256, 700, 1500, 3000, CAP - 2, CAP]
-    values = [[*range(0, top, 3), top] for top in tops]
-    start = threading.Barrier(len(values))
+def assert_round_trips(value):
+    text = to_json(value)
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert typed(json.loads(text)) == typed(value)
 
-    def render(value):
-        start.wait()
-        return [to_json(value) for _ in range(20)]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=len(values)) as pool:
-            futures = [pool.submit(render, value) for value in values]
-            outputs = [future.result(timeout=60) for future in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    for value, texts in zip(values, outputs):
-        assert texts == [oracle(value)] * 20
-    assert len(report._int_text) <= CAP + 1
+@pytest.mark.parametrize(
+    "value",
+    [{}, [], (), {"a": []}, {"a": {}}, [[]], [True, False, None, 0, 1], [1, True, 0, False], {"x": (1, 2)}, 1, True, None],
+    ids=repr,
+)
+def test_edge_cases(value):
+    assert_round_trips(value)
+
+
+# A bool is an int to Python; it must come back as true or false, never 1 or 0.
+@pytest.mark.parametrize(
+    "value",
+    [[True, 1, 0, False], [1, 2, True], [4096, False], [False, 4097], [0, 1, 2, True, 3], [True] * 5],
+    ids=repr,
+)
+def test_lists_mixing_bools_and_ints_render_bools_as_json_does(value):
+    assert_round_trips(value)
+
+
+@pytest.mark.parametrize("value", [[0], [300], [2**70], [True], (3,), [1, True], [2, 2.0]], ids=repr)
+def test_one_element_and_inexact_int_lists(value):
+    assert_round_trips(value)
+    assert_round_trips({"x": value})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[2**5000], [-1], [2**63], [-(2**63) - 1], [0, -(2**5000)], list(range(-3, 5003))],
+    ids=["2**5000", "-1", "2**63", "-(2**63)-1", "0,-(2**5000)", "-3..5002"],
+)
+def test_long_and_negative_int_lists(value):
+    assert_round_trips(value)
+
+
+# json writes a non-str key as a string; no report holds one (test_every_report_kind_round_trips).
+@pytest.mark.parametrize(
+    "value, parsed",
+    [({1: "a"}, {"1": "a"}), ({"a": {2: "b"}}, {"a": {"2": "b"}}), ([{None: 1}], [{"null": 1}])],
+    ids=["int key", "nested int key", "None key"],
+)
+def test_non_str_keys_come_back_as_strings(value, parsed):
+    assert json.loads(to_json(value)) == parsed
+
+
+_rng = random.Random(2048)
+LONG_SEQ = "".join(_rng.choice("HT") for _ in range(2048))
+LONG_X_SET = ",".join(str(i) for i in range(1, 2049) if _rng.random() < 0.2)
+
+# One CLI invocation per result kind the CLI emits as JSON.
+KINDS = {
+    "runs verdict": ["runs-test", "--seq", "HTTHTHHHT"],
+    "binomial verdict": ["binomial-test", "--seq", "TTTTTTTTT", "--convention", "two-sided-doubled"],
+    "relabel": ["relabel", "--seq", "HTTHTHHHT", "--x-set", "1,4,9", "--vocab", "teads/hails"],
+    "audit with witness": [
+        "audit", "--seq", "HTTHTHHHT", "--x-set", "2,3,5,9", "--test", "binomial", "--emit-witness",
+    ],
+    "audit with witness at n = 2048": [
+        "audit", "--seq", LONG_SEQ, "--x-set", LONG_X_SET, "--test", "runs", "--emit-witness",
+    ],
+    "flip search": ["flip-search", "--seq", "HTTHTHHHT", "--test", "runs", "--emit-witness"],
+    "flip search, minimized": ["flip-search", "--seq", "HTHHTTHTHHTHTTHH", "--test", "binomial", "--minimize"],
+    "flip search, none": ["flip-search", "--seq", "H", "--test", "runs"],
+    "explicit rejection set": ["rejection-set", "--test", "runs", "--n", "9", "--explicit"],
+    "spectrum rows": ["spectrum", "--seq", "HTTHTHHHT", "--test", "binomial"],
+    "distribution": ["distribution", "--n", "40"],
+    "distribution oracle": ["distribution", "--n", "10", "--oracle"],
+    "simulate": ["simulate", "--model", "markov:stay=3/4", "--test", "runs", "--n", "12", "--trials", "500"],
+    "posterior": ["posterior", "--seq", "HHHHHHHHHT", "--model", "biased:p=3/5", "--prior-odds", "1/3"],
+    "reproduce-paper": ["reproduce-paper"],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_report_kind_round_trips(kind, monkeypatch, capsys):
+    rendered = []
+
+    def capture(report):
+        rendered.append(report)
+        return to_json(report)
+
+    monkeypatch.setattr(cli, "to_json", capture)
+    assert cli.run_cli(KINDS[kind]) == 0
+    (report,) = rendered
+    text = capsys.readouterr().out
+    assert text == to_json(report)
+    assert typed(json.loads(text)) == typed(report)
