@@ -17,8 +17,9 @@ without enumerating them:
   run count it is a dynamic program over (position, mask bit, breaks),
   because a mask m toggles the adjacent-pair breaks m ^ (m >> 1).
 
-Enumeration survives only in the capped null-invariance check, an
-oracle over every mask.
+Two capped oracles still enumerate: the null-invariance check here, over
+every mask, and :func:`~randaudit.exact.enumerate_runs_distribution`,
+over every sequence, for the run-count law.
 """
 
 from __future__ import annotations
@@ -92,13 +93,17 @@ def verdict_under_relabeling(
 
 class FlipSearchResult(NamedTuple):
     audit: AuditResult
-    method: str  # 'closed-form' | 'dp'
 
     guaranteed_minimal = True  # every search is exact
 
     @property
     def mask(self) -> RelabelMask:
         return self.audit.mask
+
+    @property
+    def method(self) -> str:
+        """``dp`` for a run-count search and ``closed-form`` for a head-count one: the test fixes the method."""
+        return "dp" if self.audit.original.test == RUNS else "closed-form"
 
     def as_dict(self, emit_witness: bool = False) -> dict:
         audit = self.audit.as_dict(emit_witness=emit_witness)
@@ -207,8 +212,8 @@ def find_flipping_mask(
     verdict, since every value is reachable through some mask.  The mask
     returned has the fewest flips, ties broken by the lexicographically
     smallest flip string, at every length: the head count is solved in
-    closed form (``method="closed-form"``), the run count by a dynamic
-    program (``method="dp"``).  ``minimize`` is still accepted but no
+    closed form, the run count by a dynamic program, and the result's
+    ``method`` names which.  ``minimize`` is still accepted but no
     longer selects anything; every result is guaranteed minimal.
     """
     alpha = as_probability(alpha)
@@ -217,14 +222,11 @@ def find_flipping_mask(
     targets = [v for v in statistic_domain(test, seq.n) if (v in rejected) != (value in rejected)]
     if not targets:
         return None
-    if test == RUNS:
-        flips, method = _runs_reversal(seq.bits, targets), "dp"
-    else:
-        flips, method = _binomial_reversal(seq.bits, value, targets), "closed-form"
+    flips = _runs_reversal(seq.bits, targets) if test == RUNS else _binomial_reversal(seq.bits, value, targets)
     audit = verdict_under_relabeling(seq, RelabelMask(flips), test, alpha, convention)
     if not audit.flipped:  # pragma: no cover - targets carry the opposite verdict
         raise AssertionError("minimal reversal search returned a non-reversing mask")
-    return FlipSearchResult(audit, method)
+    return FlipSearchResult(audit)
 
 
 class NullInvarianceReport(NamedTuple):

@@ -218,6 +218,8 @@ def exact_decimal_string(p: Fraction) -> str:
     Dyadic probabilities always terminate.  Non-terminating values fall
     back to 12 rounded places.
     """
+    if p.numerator < 0:
+        raise ValueError("negative probabilities are not rendered")
     den = p.denominator
     twos = (den & -den).bit_length() - 1
     den >>= twos
@@ -336,10 +338,13 @@ def binomial_count_between(n: int, lo: int, hi: int, low: int) -> int:
 
 
 class RunsDistribution(NamedTuple):
-    """Exact counts of sequences by run count, for one length n."""
+    """Exact counts of sequences by run count, for one length n = ``len(counts)``."""
 
-    n: int
     counts: tuple[int, ...]  # counts[r - 1] = number of sequences with r runs
+
+    @property
+    def n(self) -> int:
+        return len(self.counts)
 
     @property
     def total(self) -> int:
@@ -355,9 +360,10 @@ class RunsDistribution(NamedTuple):
 
     def _rows(self) -> Iterator[tuple[int, int, Fraction, str]]:
         """(r, count, pmf, exact decimal pmf) for r = 1..n."""
-        for r in range(1, self.n + 1):
-            p = self.pmf(r)
-            yield r, self.count(r), p, exact_decimal_string(p)
+        n = self.n
+        for r, count in enumerate(self.counts, 1):
+            p = dyadic(count, n)
+            yield r, count, p, exact_decimal_string(p)
 
     def to_csv(self) -> str:
         lines = ["r,count,pmf-numerator,pmf-denominator,pmf-decimal"]
@@ -444,4 +450,4 @@ def enumerate_runs_distribution(n: int) -> RunsDistribution:
         shift = ((chunk ^ chunk >> 1) & high).bit_count()
         for s, c in tallies[chunk & 1].items():
             counts[s + shift] += c
-    return RunsDistribution(n, tuple(counts))
+    return RunsDistribution(tuple(counts))

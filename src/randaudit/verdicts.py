@@ -79,7 +79,6 @@ __all__ = [
 
 RUNS = "runs"
 BINOMIAL = "binomial"
-TESTS = (RUNS, BINOMIAL)
 
 # Tail conventions for the head-count test.
 ONE_SIDED = "paper-one-sided"
@@ -152,7 +151,7 @@ def runs_pvalue(n: int, r: int, tail: str) -> Fraction:
 def runs_distribution(n: int) -> RunsDistribution:
     """Run-count distribution from the table, for n up to TAIL_LENGTH_LIMIT."""
     check_tail_length(n)
-    return RunsDistribution(n, tuple(_count(n, r, r, 1) for r in range(1, n + 1)))
+    return RunsDistribution(tuple(_count(n, r, r, 1) for r in range(1, n + 1)))
 
 
 def _runs_tail(n: int, r: int, convention: str) -> tuple[str, int]:
@@ -211,6 +210,7 @@ STATISTICS = {
     RUNS: Statistic(count_runs, 1, _runs_tail, _with_runs),
     BINOMIAL: Statistic(count_ones, 0, _binomial_tail, _with_ones),
 }
+TESTS = tuple(STATISTICS)
 
 
 def statistic(test: str) -> Statistic:

@@ -175,7 +175,7 @@ class TestFlipSearch:
             assert result.mask == brute
             assert result.audit.flipped
 
-    def test_constructive_fallback_beyond_cap(self):
+    def test_dp_minimum_on_an_alternating_30_matches_a_packed_scan(self):
         seq = BinarySequence((0, 1) * 15)  # n = 30, strictly alternating, rejected
         assert runs_test(seq, ALPHA).rejected
         result = find_flipping_mask(seq, RUNS, ALPHA)
@@ -215,13 +215,13 @@ class TestFlipSearch:
             assert result is not None and result.guaranteed_minimal
             assert result.mask.flip_string() == expected
 
-    def test_absence_is_exact_beyond_cap(self):
+    def test_absence_when_alpha_is_below_every_tail(self):
         # With alpha below every attainable tail nothing is ever
         # rejected, so no relabeling can flip; decided without scanning.
         seq = BinarySequence((0, 1) * 15)
         assert find_flipping_mask(seq, RUNS, Fraction(1, 2**40)) is None
 
-    def test_small_cap_forces_constructive(self):
+    def test_search_without_minimize_matches_brute_force(self):
         # Without ``minimize`` the search is still the exact minimum.
         seq = parse_sequence(B)
         result = find_flipping_mask(seq, RUNS, ALPHA)

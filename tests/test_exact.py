@@ -403,7 +403,7 @@ class TestOneRowPerLength:
 
 
 @pytest.fixture
-def comb_calls(monkeypatch):
+def centre_calls(monkeypatch):
     """The lengths whose centre coefficient ``exact`` builds while the test runs."""
     calls = []
     central = exact._central_binomial
@@ -411,13 +411,13 @@ def comb_calls(monkeypatch):
     return calls
 
 
-def _cold_verdict_pair(seq, comb_calls) -> None:
+def _cold_verdict_pair(seq, centre_calls) -> None:
     """A cold runs_test and binomial_test build row n - 1 alone, with one centre coefficient."""
     cached = exact._binomial_prefix_sums
     cached.cache_clear()
     runs_test(seq)
     binomial_test(seq)
-    assert comb_calls == [seq.n - 1]
+    assert centre_calls == [seq.n - 1]
     assert cached.cache_info().currsize == 1
     hits = cached.cache_info().hits
     cached(seq.n - 1)
@@ -427,12 +427,12 @@ def _cold_verdict_pair(seq, comb_calls) -> None:
 class TestCentralBinomial:
     """A verdict pair at a new length pays one centre coefficient, that of its one row."""
 
-    def test_one_comb_per_verdict_pair(self, comb_calls):
-        _cold_verdict_pair(BinarySequence.from_int(random.Random(2047).getrandbits(2048), 2048), comb_calls)
+    def test_one_centre_per_verdict_pair(self, centre_calls):
+        _cold_verdict_pair(BinarySequence.from_int(random.Random(2047).getrandbits(2048), 2048), centre_calls)
 
     @pytest.mark.parametrize("n", [1, 2, 9, 4999, 5000])
-    def test_cold_verdict_pair_builds_row_n_minus_1_alone(self, n, comb_calls):
-        _cold_verdict_pair(BinarySequence.from_int(random.Random(n).getrandbits(n), n), comb_calls)
+    def test_cold_verdict_pair_builds_row_n_minus_1_alone(self, n, centre_calls):
+        _cold_verdict_pair(BinarySequence.from_int(random.Random(n).getrandbits(n), n), centre_calls)
 
 
 @lru_cache(maxsize=None)
@@ -631,6 +631,9 @@ class TestProbabilityHelpers:
             decimal_string(Fraction(1, 2), places=-1)
         with pytest.raises(ValueError, match="negative"):
             decimal_string(Fraction(-1, 2))
+        for p in (Fraction(-1, 4), Fraction(-1, 2), Fraction(-3, 2), Fraction(-3), Fraction(-1, 3)):
+            with pytest.raises(ValueError, match="negative probabilities are not rendered"):
+                exact_decimal_string(p)
 
     def test_exact_decimal(self):
         assert exact_decimal_string(Fraction(1, 512)) == "0.001953125"

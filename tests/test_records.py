@@ -169,7 +169,7 @@ class TestRecordsAreNamedTuples:
         assert repr(FACTORIES[SourceModel]()) == (
             "SourceModel(kind='biased', p=Fraction(3, 5), stay=Fraction(1, 2))"
         )
-        assert repr(runs_distribution(3)) == "RunsDistribution(n=3, counts=(2, 4, 2))"
+        assert repr(runs_distribution(3)) == "RunsDistribution(counts=(2, 4, 2))"
 
     def test_defaults_are_kept(self):
         assert SourceModel("fair") == SourceModel.fair() == ("fair", Fraction(1, 2), Fraction(1, 2))
@@ -179,8 +179,22 @@ class TestRecordsAreNamedTuples:
 class TestRecordsCannotContradictThemselves:
     """What follows from the stored fields is derived, so no copy or swap makes it stale."""
 
-    def test_field_counts(self):
-        assert len(Verdict._fields) == 6 and len(AuditResult._fields) == 4 and len(FlipSearchResult._fields) == 2
+    def test_fields_are_pinned(self):
+        """A new field fails here first, so one that the others already fix is not stored by accident."""
+        fields = {cls: cls._fields for cls in CLASSES if issubclass(cls, tuple)}
+        assert fields == {
+            Verdict: ("test", "statistic", "tail_used", "p", "alpha", "vocab"),
+            Statistic: ("of", "low", "tail", "attaining"),
+            RejectionSet: ("test", "n", "alpha", "convention", "statistic_values", "exact_size", "sequences"),
+            AuditResult: ("original", "relabeled", "mask", "relabeled_sequence"),
+            FlipSearchResult: ("audit",),
+            NullInvarianceReport: ("n", "masks_checked", "passed"),
+            RunsDistribution: ("counts",),
+            SourceModel: ("kind", "p", "stay"),
+            RejectionRateEstimate: (
+                "model", "test", "n", "alpha", "convention", "trials", "seed", "rejected", "exact_fair_size"
+            ),
+        }
 
     def test_a_new_alpha_decides_rejected(self):
         verdict = runs_test(parse_sequence("HHHHHTTTT"))
@@ -201,6 +215,20 @@ class TestRecordsCannotContradictThemselves:
         assert found.mask == found.audit.mask and found.guaranteed_minimal is True
         other = verdict_under_relabeling(parse_sequence(SEQ), mask_from_index_set(X_SET, 9), RUNS)
         assert found._replace(audit=other).mask == other.mask
+
+    def test_a_search_reads_its_method_from_its_audit(self):
+        found = FACTORIES[FlipSearchResult]()  # a head-count search
+        assert found.method == "closed-form" and found.as_dict()["method"] == "closed-form"
+        other = verdict_under_relabeling(parse_sequence(SEQ), mask_from_index_set(X_SET, 9), RUNS)
+        swapped = found._replace(audit=other)
+        assert swapped.method == "dp" and swapped.as_dict()["method"] == "dp"
+
+    def test_a_distribution_reads_its_length_from_its_counts(self):
+        dist = runs_distribution(3)._replace(counts=(2, 2))
+        assert dist == RunsDistribution((2, 2)) and dist.n == 2 and dist.total == 4
+        assert dist.to_csv().splitlines()[1:] == ["1,2,1,2,0.5", "2,2,1,2,0.5"]
+        assert [row["r"] for row in dist.to_json_dict()["rows"]] == [1, 2]
+        assert dist.to_json_dict()["n"] == 2 and dist.to_json_dict()["total"] == 4
 
 
 class TestSourceModelChecksEveryPath:
