@@ -34,8 +34,8 @@ from .verdicts import (
     ONE_SIDED,
     RUNS,
     TestVerdict,
+    _rejected_values,
     judge,
-    rejection_set,
     statistic,
     statistic_domain,
 )
@@ -118,85 +118,136 @@ class FlipSearchResult(NamedTuple):
         }
 
 
-def _binomial_reversal(bits: tuple[int, ...], k: int, targets: list[int]) -> tuple[bool, ...]:
-    """Fewest flips carrying the head count k into ``targets``.
+def _highest_bits(x: int, d: int) -> int:
+    """The d highest set bits of x, which has at least d set."""
+    cut = len(format(x, "b").split("1", d)[-1])  # the digits below the d-th 1 from the top
+    return x >> cut << cut
 
-    Each flip moves k by one, so with d the distance to the nearest
-    target exactly d flips are needed: d zeros flipped to reach k + d, or
-    d ones to reach k - d.  Flipping the last d of them gives the
-    smallest flip string; if both k + d and k - d are targets, the
-    smaller of the two strings wins.
+
+def _binomial_reversal(value: int, n: int, targets: set[int]) -> int:
+    """Fewest flips carrying the head count of the packed sequence into ``targets``, as a packed mask.
+
+    Each flip moves the head count k by one, so with d the distance to
+    the nearest target exactly d flips are needed: d zeros flipped to
+    reach k + d, or d ones to reach k - d.  Flipping the last d of them
+    gives the smallest flip string; if both k + d and k - d are targets,
+    the two masks are disjoint, and the one whose first flip comes later
+    has the smaller string.
     """
+    k = value.bit_count()
     d = min(abs(v - k) for v in targets)
     options = []
-    for target, bit in ((k + d, 0), (k - d, 1)):
-        if target in targets:
-            chosen = set([i for i, b in enumerate(bits) if b == bit][-d:])
-            options.append(tuple(i in chosen for i in range(len(bits))))
-    return min(options)
+    if k + d in targets:
+        options.append(_highest_bits(value ^ ((1 << n) - 1), d))
+    if k - d in targets:
+        options.append(_highest_bits(value, d))
+    return max(options, key=lambda mask: mask & -mask)
 
 
-def _runs_reversal(bits: tuple[int, ...], targets: list[int]) -> tuple[bool, ...]:
-    """Fewest flips carrying the run count into ``targets``.
+def _runs_reversal(value: int, n: int, targets: set[int]) -> int:
+    """Fewest flips carrying the run count of the packed sequence into ``targets``, as a packed mask.
 
-    The relabeled sequence breaks between positions i and i + 1 iff
-    bits[i] ^ bits[i + 1] ^ m[i] ^ m[i + 1] is set, and b breaks make
-    b + 1 runs.  ``cost[i, c, b]`` is the fewest flips among positions
-    after i, given m[i] = c and b breaks before position i, that end on a
-    target run count (n + 1 if none does).  One of the two continuations
-    takes m[i + 1] = 0 at no cost, so no entry exceeds n + 1.  The forward
-    pass takes bit 0 wherever it still attains the optimum, which yields
-    the smallest flip string among the fewest-flip masks.
+    The relabeled sequence breaks between positions i and i + 1 iff bit i
+    of ``value ^ (value >> 1)`` differs from m[i] ^ m[i + 1], and b breaks
+    make b + 1 runs.  ``cost[i, c, b]`` is the fewest flips among
+    positions after i, given m[i] = c and b breaks before position i,
+    that end on a target run count.  The forward pass takes bit 0
+    wherever it still attains the optimum, which yields the smallest flip
+    string among the fewest-flip masks.
 
-    A row ``cost[i, c, ·]`` is one int whose lane b, ``w`` bits wide,
-    holds the cost at b breaks.  Values reach n + 2 before a minimum is
-    taken, so each lane has one more bit on top, the guard bit, and a
-    subtraction with every guard set compares all lanes at once without
-    a borrow crossing between them.  Position i has at most i breaks
-    before it, so row i holds lanes 0..i: the guards of the minimum
-    cover lane i + 1 too, where the shifted operand is 0, so that lane
-    comes out 0 and the int ends below it.  The forward pass reads only
-    the rows with c = 0, so only those are kept.  Time is O(n^2 log n)
-    bit operations and memory at most n^2 w / 2 bits: at n = 300 the DP
-    takes about 1 ms; at n = 5000, 0.1-0.2 s and at most 22 MB (2-vCPU
-    x86-64 machine, Python 3.11).
+    A mask with at most F flips keeps the breaks before every position
+    within 2F of the sequence's own count B(i) there, so the table keeps
+    only the offsets b in B(i) - (2F + 1)..B(i) + (2F + 1), clipped to
+    0..i: a band.  An optimum of at most F found in the band is the
+    global one, and every fewest-flip mask lies in the band, so the
+    tie-break holds too.  F starts at ⌈δ/2⌉, where δ is the distance from
+    the run count to the nearest target: a flip moves the count by at
+    most two, so no fewer flips reach a target.  F then doubles until the
+    band's optimum is at most F.
+
+    A row ``cost[i, c, ·]`` is one int whose lane j, ``w`` bits wide,
+    holds u = cap + (n - 1 - i) - cost at b = lo(i) + j, with cap = F + 1.
+    A step then adds 1 to the continuation with m[i + 1] = 0 and nothing
+    to the flip, and takes a lane-wise maximum, so u stays in 0..n + F.
+    A lane outside the band reads 0, a cost of at least cap, which no
+    mask within F flips reaches; the shifts that move a row between
+    bands fill such lanes without a mask.  Each lane carries one more bit
+    on top, the guard bit, and a subtraction with every guard set
+    compares all lanes at once without a borrow crossing between them.
+    The forward pass reads only the rows with c = 0, so only those are
+    kept.  A pass takes O(n F log n) bit operations and as many bits of
+    memory, and never more than the whole triangle, n^2 w / 2 bits.  At
+    n = 5000 on a 2-vCPU x86-64 machine with Python 3.11, random inputs
+    (16-29 flips) took 7-8 ms and at most 1.3 MB of traced memory, and an
+    alternating one (1,221 flips, nearly the whole triangle) 62-65 ms and
+    17.5 MB.
     """
-    n = len(bits)
-    inf = n + 1
-    w = (n + 2).bit_length() + 1
-    lane = (1 << w) - 1
-    ones = int("1".zfill(w) * n, 2)  # 1 in each lane of row n - 1
-    inf_lane = format(inf, f"0{w}b")
-    wanted = set(targets)
-    r0 = r1 = int("".join("0" * w if r in wanted else inf_lane for r in range(n, 0, -1)), 2)
-    rows = [r0]  # cost[i, 0, ·] for i = n - 1 down to 0
-    for i in range(n - 2, -1, -1):
-        # ``keep`` continues with m[i + 1] = c ^ edge, which adds no break;
-        # ``turn`` continues with the other bit and adds one.
-        guard = ones << (w - 1)
-        keep0, keep1 = r0, r1 + ones
-        if bits[i] ^ bits[i + 1]:
-            keep0, keep1 = keep1, keep0
-        turn0, turn1 = keep1 >> w, keep0 >> w
-        # A guard survives the subtraction iff keep >= turn in its lane.
-        ge = (((keep0 | guard) - turn0) & guard) >> (w - 1)
-        r0 = keep0 ^ ((keep0 ^ turn0) & (ge * lane))
-        ge = (((keep1 | guard) - turn1) & guard) >> (w - 1)
-        r1 = keep1 ^ ((keep1 ^ turn1) & (ge * lane))
-        rows.append(r0)
-        ones >>= w
+    edges = format(value ^ (value >> 1), f"0{n}b")[:0:-1]  # edges[i] == "1": positions i and i + 1 differ
+    total = edges.count("1")
+    f = max(1, (min(abs(t - 1 - total) for t in targets) + 1) // 2)  # at least 1, so doubling moves it
+    while True:
+        radius, cap = 2 * f + 1, f + 1
+        w = (n + f).bit_length() + 1
+        top, lane = w - 1, (1 << w) - 1
+        width = min(n, 2 * radius + 1)  # lanes in the widest row
+        all_ones = int("1".zfill(w) * width, 2)
+        b0 = total  # the sequence's own breaks before position i
+        lo, hi = max(0, b0 - radius), min(n - 1, b0 + radius)
+        target, other = format(cap, f"0{w}b"), "0" * w
+        r0 = r1 = int("".join(target if b + 1 in targets else other for b in range(hi, lo - 1, -1)), 2)
+        k = hi - lo  # the row's lanes, less one
+        ones = all_ones >> (w * (width - 1 - k))
+        guard = ones << top
+        rows = [r0]  # cost[i, 0, ·] for i = n - 1 down to 0
+        for i in range(n - 2, -1, -1):
+            # The continuation with m[i + 1] = 0 gains 1, the flip nothing.
+            # After the swap across a break of the sequence, x continues
+            # m[i] = 0 without a break (``keep``, read at b) and y with one
+            # (``turn``, read at b + 1); from m[i] = 1 they trade places.
+            x, y = r0 + ones, r1
+            edge = edges[i] == "1"
+            if edge:
+                b0 -= 1
+                x, y = y, x
+            if edge and b0 >= radius:  # lo(i) = lo(i + 1) - 1
+                lo -= 1
+                keep_x, keep_y, turn_x, turn_y = x << w, y << w, x, y
+            else:
+                keep_x, keep_y, turn_x, turn_y = x, y, x >> w, y >> w
+            hi = b0 + radius if b0 + radius < i else i
+            if hi - lo != k:
+                k = hi - lo
+                ones = all_ones >> (w * (width - 1 - k))
+                guard = ones << top
+            # A guard survives the subtraction iff keep >= turn in its lane;
+            # there the low bits of d, keep - turn, lift turn to keep.
+            d = (keep_x | guard) - turn_y
+            ge = d & guard
+            r0 = turn_y + (d & (ge - (ge >> top)))
+            d = (keep_y | guard) - turn_x
+            ge = d & guard
+            r1 = turn_x + (d & (ge - (ge >> top)))
+            rows.append(r0)
+        cost0, cost1 = cap + n - 1 - r0, cap + n - 1 - r1
+        best = min(cost0, 1 + cost1)
+        if best <= f:
+            break
+        f *= 2
     rows.reverse()
-    m = 0 if r0 <= 1 + r1 else 1
-    flips = [m]
-    remaining = r1 if m else r0
-    breaks = 0
+    m = mask = 0 if cost0 == best else 1
+    want = cap + n - 2 - (best - m)  # cost[i + 1, 0, b] is the flips left iff its lane holds want - i
+    b0 = b = 0
     for i in range(n - 1):
-        x = bits[i] ^ bits[i + 1] ^ m  # break added if m[i + 1] = 0
-        m = 0 if (rows[i + 1] >> ((breaks + x) * w)) & lane == remaining else 1
-        breaks += x ^ m
-        remaining -= m
-        flips.append(m)
-    return tuple(bool(f) for f in flips)
+        edge = edges[i] == "1"
+        x = edge ^ m  # break added if m[i + 1] = 0
+        b0 += edge
+        lo = b0 - radius if b0 > radius else 0
+        m = 0 if (rows[i + 1] >> ((b + x - lo) * w)) & lane == want - i else 1
+        if m:
+            want += 1
+            mask |= 1 << (i + 1)
+        b += x ^ m
+    return mask
 
 
 def find_flipping_mask(
@@ -209,21 +260,27 @@ def find_flipping_mask(
     """The fewest-flip mask under which the test's verdict reverses, if any.
 
     A reversal exists iff some statistic value carries the opposite
-    verdict, since every value is reachable through some mask.  The mask
-    returned has the fewest flips, ties broken by the lexicographically
-    smallest flip string, at every length: the head count is solved in
-    closed form, the run count by a dynamic program, and the result's
-    ``method`` names which.  ``minimize`` is still accepted but no
-    longer selects anything; every result is guaranteed minimal.
+    verdict, since every value is reachable through some mask.  The
+    targets are read off the rejected values alone, with no rejection
+    set and no size built.  The mask returned has the fewest flips, ties
+    broken by the lexicographically smallest flip string, at every
+    length: the head count is solved in closed form, the run count by a
+    banded dynamic program, and the result's ``method`` names which.
+    ``minimize`` is still accepted but no longer selects anything; every
+    result is guaranteed minimal.
     """
     alpha = as_probability(alpha)
-    rejected = frozenset(rejection_set(test, seq.n, alpha, convention).statistic_values)
-    value = statistic(test).of(seq)
-    targets = [v for v in statistic_domain(test, seq.n) if (v in rejected) != (value in rejected)]
+    rejected = _rejected_values(test, seq.n, alpha, convention)
+    n, value = seq.n, statistic(test).of(seq)
+    if value in rejected:
+        targets = set(statistic_domain(test, n)).difference(rejected)
+    else:
+        targets = set(rejected)
     if not targets:
         return None
-    flips = _runs_reversal(seq.bits, targets) if test == RUNS else _binomial_reversal(seq.bits, value, targets)
-    audit = verdict_under_relabeling(seq, RelabelMask(flips), test, alpha, convention)
+    reverse = _runs_reversal if test == RUNS else _binomial_reversal
+    mask = RelabelMask.from_int(reverse(seq.value, n, targets), n)
+    audit = verdict_under_relabeling(seq, mask, test, alpha, convention)
     if not audit.flipped:  # pragma: no cover - targets carry the opposite verdict
         raise AssertionError("minimal reversal search returned a non-reversing mask")
     return FlipSearchResult(audit)

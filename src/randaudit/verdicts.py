@@ -28,7 +28,8 @@ two.  The threshold is always an exact rational, and ``p <= alpha`` is
 decided on ints, never in floating point, so boundary cases are
 unambiguous: as ``p.numerator * alpha.denominator <= alpha.numerator *
 p.denominator`` for a verdict, and as ``count * alpha.denominator <=
-alpha.numerator << n`` for each value a rejection set scans.
+alpha.numerator << n`` for each value that a rejection set or a flip
+search scans.
 
 Tail selection for the runs test: the run-count law is symmetric about
 (n+1)/2, so a count above the center is judged by its upper tail and a
@@ -314,6 +315,19 @@ class RejectionSet(NamedTuple):
         return payload
 
 
+def _rejected_values(test: str, n: int, alpha: Fraction, convention: str) -> tuple[int, ...]:
+    """The statistic values a verdict at the probability ``alpha`` rejects, in increasing order.
+
+    Every value of the domain is decided by its tail count as ``count *
+    alpha.denominator <= alpha.numerator << n``, on ints; a length beyond
+    TAIL_LENGTH_LIMIT is refused first.
+    """
+    check_tail_length(n)
+    stat = _checked(test, convention)
+    den, bound = alpha.denominator, alpha.numerator << n  # count / 2^n <= alpha, on ints
+    return tuple(v for v in range(stat.low, n + 1) if stat.tail(n, v, convention)[1] * den <= bound)
+
+
 def rejection_set(
     test: str,
     n: int,
@@ -330,11 +344,9 @@ def rejection_set(
     statistic values, so the work is proportional to the listing, not
     to 2^n.
     """
-    check_tail_length(n)
     alpha = as_probability(alpha)
-    stat = _checked(test, convention)
-    den, bound = alpha.denominator, alpha.numerator << n  # count / 2^n <= alpha, on ints
-    values = tuple(v for v in statistic_domain(test, n) if stat.tail(n, v, convention)[1] * den <= bound)
+    values = _rejected_values(test, n, alpha, convention)
+    stat = statistic(test)
     mass = sum(_count(n, v, v, stat.low) for v in values)
     sequences = None
     if include_sequences:

@@ -215,6 +215,14 @@ class TestFlipSearch:
             assert result is not None and result.guaranteed_minimal
             assert result.mask.flip_string() == expected
 
+    def test_head_count_reversal_can_flip_position_one(self):
+        # At alpha = 1/512 only k = 0 and k = 9 heads are rejected, so the
+        # one fewest-flip reversal of THHHHHHHH flips its T, at position 1.
+        seq, alpha = parse_sequence("THHHHHHHH"), Fraction(1, 512)
+        result = find_flipping_mask(seq, BINOMIAL, alpha)
+        assert result is not None and result.mask.flip_string() == "100000000"
+        assert result.mask == brute_force_minimal(seq, BINOMIAL, alpha, ONE_SIDED)
+
     def test_absence_when_alpha_is_below_every_tail(self):
         # With alpha below every attainable tail nothing is ever
         # rejected, so no relabeling can flip; decided without scanning.
@@ -376,7 +384,8 @@ class TestRunsReversalAgainstReference:
     def test_any_target_set_matches_reference(self, n, data):
         bits = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
         targets = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
-        assert _runs_reversal(bits, targets) == _reference_runs_reversal(bits, targets)
+        expected = RelabelMask(_reference_runs_reversal(bits, targets)).value
+        assert _runs_reversal(BinarySequence(bits).value, n, set(targets)) == expected
 
     def test_constant_stream_at_the_length_limit(self):
         # One run is rejected; the nearest accepted run count at n = 5000 is
@@ -387,16 +396,52 @@ class TestRunsReversalAgainstReference:
         assert result.mask.flip_count() == 1221
         assert result.audit.flipped
 
+    def test_band_doubles_until_it_holds_the_optimum(self):
+        # Two runs at n = 8 are accepted at 1/20 and one run, a break away,
+        # is rejected, so the first band allows F = 1 flip; one run takes
+        # the 4 flips of a whole block, so F doubles twice.  Found by
+        # scanning every sequence of length <= 14 for a search whose fewest
+        # flips exceed half the distance to the nearest target.
+        seq = parse_sequence("HHHHTTTT")
+        targets = _run_count_targets(seq, ALPHA, ONE_SIDED)
+        assert targets == [1, 8]
+        result = find_flipping_mask(seq, RUNS, ALPHA)
+        assert result is not None and result.mask.flip_count() == 4
+        assert result.mask == brute_force_minimal(seq, RUNS, ALPHA, ONE_SIDED)
+        assert result.mask.flip_string() == "00001111"
+        assert result.mask.flips == _reference_runs_reversal(seq.bits, targets)
+
+    def test_band_memory_on_a_random_stream(self):
+        # A random stream at the length limit is reversed by a few dozen
+        # flips.  The doubling stops at some F < 2 * flips, and the band
+        # keeps at most 4F + 3 lanes a row, against up to n in the triangle.
+        n = 5000
+        rng = random.Random(1)
+        seq = BinarySequence(tuple(rng.randint(0, 1) for _ in range(n)))
+        targets = set(_run_count_targets(seq, ALPHA, ONE_SIDED))
+        tracemalloc.start()
+        try:
+            mask = _runs_reversal(seq.value, n, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        flips = mask.bit_count()
+        assert 0 < flips < 50
+        assert verdict_under_relabeling(seq, RelabelMask.from_int(mask, n), RUNS, ALPHA).flipped
+        w = (n + 2 * flips).bit_length() + 1
+        assert peak < n * (8 * flips + 3) * w / 8
+
     def test_rows_are_triangular(self):
         # Only the rows with m[i] = 0 are kept, and row i holds lanes
         # 0..i, so the table takes about n^2 w / 2 bits; full-width rows
         # would take twice that.
         n = 2000
         w = (n + 2).bit_length() + 1
-        bits = tuple(random.Random(1).randint(0, 1) for _ in range(n))
+        rng = random.Random(1)
+        value = BinarySequence(tuple(rng.randint(0, 1) for _ in range(n))).value
         tracemalloc.start()
         try:
-            _runs_reversal(bits, [1, n])
+            _runs_reversal(value, n, {1, n})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

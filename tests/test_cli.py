@@ -331,8 +331,21 @@ class TestErrorsAndStability:
             ("rejection-set", "--test", "runs", "--n", str(TAIL_LENGTH_LIMIT + 1)),
             ("rejection-set", "--test", "binomial", "--n", "15000", "--explicit"),
             ("simulate", "--test", "runs", "--n", str(TAIL_LENGTH_LIMIT + 1)),
+            ("flip-search", "--seq", "HT" * (TAIL_LENGTH_LIMIT // 2) + "H", "--test", "runs"),
+            ("flip-search", "--seq", "H" * (TAIL_LENGTH_LIMIT + 1), "--test", "binomial"),
+            ("audit", "--seq", "H" * (TAIL_LENGTH_LIMIT + 1), "--mask", "1" * (TAIL_LENGTH_LIMIT + 1), "--test", "runs"),
         ],
-        ids=["runs-test", "binomial-test", "distribution", "rejection-set", "rejection-set-explicit", "simulate"],
+        ids=[
+            "runs-test",
+            "binomial-test",
+            "distribution",
+            "rejection-set",
+            "rejection-set-explicit",
+            "simulate",
+            "flip-search-runs",
+            "flip-search-binomial",
+            "audit",
+        ],
     )
     def test_length_beyond_tail_limit_fails_fast(self, capsys, argv):
         start = time.perf_counter()
