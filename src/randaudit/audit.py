@@ -85,7 +85,6 @@ def verdict_under_relabeling(
     relabeled_vocab: str | None = None,
 ) -> AuditResult:
     """Run one test on both readings of the same output."""
-    alpha = as_probability(alpha)
     original = judge(seq, test, alpha, convention)
     relabeled_seq = apply_relabeling(seq, mask, vocab=relabeled_vocab)
     return AuditResult(original, judge(relabeled_seq, test, alpha, convention), mask, relabeled_seq)
@@ -177,10 +176,12 @@ def _runs_reversal(value: int, n: int, targets: set[int]) -> int:
     The forward pass reads only the rows with c = 0, so only those are
     kept.  A pass takes O(n F log n) bit operations and as many bits of
     memory, and never more than the whole triangle, n^2 w / 2 bits.  At
-    n = 5000 on a 2-vCPU x86-64 machine with Python 3.11, random inputs
-    (16-29 flips) took 7-8 ms and at most 1.3 MB of traced memory, and an
-    alternating one (1,221 flips, nearly the whole triangle) 62-65 ms and
-    17.5 MB.
+    n = 5000 on a 2-vCPU x86-64 machine with Python 3.11 (median of 5 in
+    one process, row warm, alpha = 1/20), random inputs at seeds 1-3
+    (16-29 flips) took 6-8 ms in this function alone and 12-15 ms for
+    the whole search, scan and audit included, with at most 1.6 MB of
+    traced memory; an alternating one (1,221 flips, nearly the whole
+    triangle) took 59-63 ms alone, 65-70 ms whole and 17.6 MB.
     """
     edges = format(value ^ (value >> 1), f"0{n}b")[:0:-1]  # edges[i] == "1": positions i and i + 1 differ
     total = edges.count("1")

@@ -21,11 +21,11 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, Iterable, NamedTuple, NoReturn
 
 from . import report as report_mod
 from .audit import find_flipping_mask, verdict_under_relabeling
-from .exact import CapExceededError, enumerate_runs_distribution, parse_probability, parse_rational, prob_dict
+from .exact import CapExceededError, as_probability, enumerate_runs_distribution, parse_rational, prob_dict
 from .report import build_report, to_json
 from .sequences import (
     ParseError,
@@ -128,7 +128,7 @@ OPTIONS = {
     "test": _flag("--test", choices=TESTS, required=True),
     "n": _flag("--n", type=int, required=True),
     "alpha": _flag(
-        "--alpha", parse_probability, prob_dict, default="1/20", help="significance threshold, e.g. 1/20 or 0.05"
+        "--alpha", as_probability, prob_dict, default="1/20", help="significance threshold, e.g. 1/20 or 0.05"
     ),
     "convention": _flag("--convention", choices=CONVENTIONS, default=ONE_SIDED),
     "trials": _flag("--trials", type=int, default=100_000),
@@ -215,12 +215,13 @@ def _spectrum(got: dict) -> tuple[dict, list[str]]:
     return {"results": rows}, [f"{_pretty_prob(p)}: {count} masks" for p, count in spectrum]
 
 
-def _distribution(got: dict) -> tuple[dict, list[str]]:
+def _distribution(got: dict) -> tuple[dict, Iterable[str]]:
     dist = enumerate_runs_distribution(got["n"]) if got["oracle"] else runs_distribution(got["n"])
     if got["format"] == "csv":
         return {}, dist.to_csv().splitlines()
     table = dist.to_json_dict()
-    lines = [f"r={row['r']:>3}  count={row['count']}  pmf={row['pmf']['decimal']}" for row in table["rows"]]
+    # Built only if printed: at n = 5000 the lines hold 30 MB that a JSON report never reads.
+    lines = (f"r={row['r']:>3}  count={row['count']}  pmf={row['pmf']['decimal']}" for row in table["rows"])
     return {"results": [table]}, lines
 
 
@@ -275,7 +276,7 @@ def _reproduce(got: dict) -> tuple[dict, list[str]]:
 class Command(NamedTuple):
     help: str
     options: tuple[str, ...]  # keys of OPTIONS
-    run: Callable[[dict], tuple[dict, list[str]]]  # parsed options -> (report fields, pretty lines)
+    run: Callable[[dict], tuple[dict, Iterable[str]]]  # parsed options -> (report fields, pretty lines)
 
 
 COMMANDS = {

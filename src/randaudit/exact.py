@@ -66,7 +66,6 @@ __all__ = [
     "decimal_string",
     "enumerate_runs_distribution",
     "exact_decimal_string",
-    "parse_probability",
     "parse_rational",
 ]
 
@@ -83,8 +82,8 @@ _CHUNK = 1 << 14
 # Exact tails are refused above this length.  Two full cached rows then
 # take 6 MB, and 2^n has 1,506 decimal digits, within Python's 4,300-digit
 # limit on int-to-str conversion that JSON reports of counts rely on.  The
-# largest report, the exact distribution table, takes about 3.8 s and a
-# 179 MB peak RSS as a `python -m randaudit distribution --n 5000` process
+# largest report, the exact distribution table, takes about 3.2 s and a
+# 150 MB peak RSS as a `python -m randaudit distribution --n 5000` process
 # writing 44 MB of decimals (2-vCPU x86_64, Python 3.11); with the limit
 # lifted to 10,000 it took 25 s and 535 MB to write 174 MB.
 TAIL_LENGTH_LIMIT = 5000
@@ -102,12 +101,20 @@ def as_probability(value: Fraction | int | str) -> Fraction:
     """Coerce to an exact Fraction and require it to lie in [0, 1]; text is read by :func:`parse_rational`.
 
     A Fraction is returned as it is.  The range is checked on its
-    numerator and denominator as ints.
+    numerator and denominator as ints.  Text whose denominator has more
+    decimal digits than ``sys.get_int_max_str_digits()`` allows (0: no
+    limit) is refused, as a report could not render it.
     """
     if type(value) is Fraction:
         p = value
+    elif isinstance(value, str):
+        p = parse_rational(value, "probability")
+        limit = sys.get_int_max_str_digits()
+        # A denominator of at most 3 * limit bits is below 8^limit, so the power of ten is built only near the limit.
+        if limit and p.denominator.bit_length() > 3 * limit and p.denominator >= 10**limit:
+            raise ValueError(f"cannot parse probability from {value!r}: denominator of more than {limit} digits")
     else:
-        p = parse_rational(value, "probability") if isinstance(value, str) else Fraction(value)
+        p = Fraction(value)
     if not 0 <= p.numerator <= p.denominator:
         raise ValueError(f"probability {p} outside [0, 1]")
     return p
@@ -174,21 +181,6 @@ def parse_rational(text: str, what: str = "rational") -> Fraction:
         return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse {what} from {text!r}: {exc}") from None
-
-
-def parse_probability(text: str) -> Fraction:
-    """Parse text as :func:`parse_rational` does and require it to lie in [0, 1].
-
-    A probability whose denominator, and so its numerator, has more
-    decimal digits than ``sys.get_int_max_str_digits()`` allows (0: no
-    limit) is refused here, as a report could not render it.
-    """
-    p = as_probability(text)
-    limit = sys.get_int_max_str_digits()
-    # A denominator of at most 3 * limit bits is below 8^limit, so the power of ten is built only near the limit.
-    if limit and p.denominator.bit_length() > 3 * limit and p.denominator >= 10**limit:
-        raise ValueError(f"cannot parse probability from {text!r}: denominator of more than {limit} digits")
-    return p
 
 
 def decimal_string(p: Fraction, places: int = 3) -> str:
@@ -322,10 +314,13 @@ def binomial_count_between(n: int, lo: int, hi: int, low: int) -> int:
     """2^low (C(n - low, lo - low) + ... + C(n - low, hi - low)), from row n - 1 of the cached table.
 
     That is the number of the 2^n equiprobable outcomes at which low +
-    Binomial(n - low, 1/2) lies in lo..hi, for ``low`` 0 or 1.  Its one
-    caller in the package checks 1 <= n <= TAIL_LENGTH_LIMIT and
-    low <= lo <= hi <= n first.
+    Binomial(n - low, 1/2) lies in lo..hi, for ``low`` 0 or 1.  A length
+    outside 1..TAIL_LENGTH_LIMIT, or a range outside low..n, is refused
+    before any row is built.
     """
+    if not (0 < n <= TAIL_LENGTH_LIMIT and low <= lo <= hi <= n):
+        check_tail_length(n)
+        raise ValueError(f"statistic range {lo}..{hi} outside {low}..{n}")
     row = _binomial_prefix_sums(n - 1)
     sums = row.sums
     try:

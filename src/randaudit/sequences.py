@@ -224,10 +224,6 @@ class RelabelMask(_Packed):
         return tuple(map("1".__eq__, _digits(self.value, self.n)))
 
     @classmethod
-    def identity(cls, n: int) -> "RelabelMask":
-        return cls((False,) * n)
-
-    @classmethod
     def from_flip_string(cls, text: str) -> "RelabelMask":
         """Parse a flip pattern written as a 0/1 string, position 1 first."""
         return cls.from_int(_read_bits(text, _NOT_FLIP, "mask", "mask character"), len(text))
@@ -241,9 +237,6 @@ class RelabelMask(_Packed):
 
     def flip_count(self) -> int:
         return self.value.bit_count()
-
-    def is_identity(self) -> bool:
-        return self.value == 0
 
     def _positions(self, table: bytes) -> tuple[int, ...]:
         """The 1-based positions whose digit ``table`` maps to a nonzero selector."""

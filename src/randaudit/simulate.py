@@ -39,8 +39,7 @@ from fractions import Fraction
 from math import sqrt
 from typing import NamedTuple
 
-from .exact import CapExceededError, _column_tally, as_probability, check_tail_length, parse_probability
-from .exact import parse_rational, prob_dict
+from .exact import CapExceededError, _column_tally, as_probability, check_tail_length, parse_rational, prob_dict
 from .sequences import BinarySequence, count_ones, count_runs, pack
 from .verdicts import DEFAULT_ALPHA, ONE_SIDED, RUNS, rejection_set, statistic
 
@@ -119,9 +118,9 @@ def parse_model(text: str) -> SourceModel:
         raise ValueError(f"cannot parse model {text!r}")
     name, sep, value = arg.partition("=")
     if kind == BIASED and sep and name == "p":
-        return SourceModel.biased(parse_probability(value))
+        return SourceModel.biased(as_probability(value))
     if kind == MARKOV and sep and name == "stay":
-        return SourceModel.sticky_markov(parse_probability(value))
+        return SourceModel.sticky_markov(as_probability(value))
     raise ValueError(f"cannot parse model {text!r}")
 
 

@@ -7,12 +7,12 @@ tail rule and its offset ``low``: under the null, statistic - low is
 Binomial(n - low, 1/2) (R - 1 for the run count R, the head count itself;
 Mood 1940), so 2^low * C(n - low, v - low) sequences attain each value v
 in low..n.  Every count, tail and distribution below is read from that
-law by one private function, which refuses a length beyond
-TAIL_LENGTH_LIMIT before any table is built and is the one place that
-passes ``low`` to the table.  Both laws at length n read the same
-cached row, row n - 1 of Pascal's triangle, so a verdict pair at a new
-length builds one row.  The entry also generates the sequences
-attaining a value, for explicit rejection sets.
+law by :func:`~randaudit.exact.binomial_count_between`, with the entry's
+``low``; it refuses a length beyond TAIL_LENGTH_LIMIT, or a range
+outside the domain, before any table is built.  Both laws at length n
+read the same cached row, row n - 1 of Pascal's triangle, so a verdict
+pair at a new length builds one row.  The entry also generates the
+sequences attaining a value, for explicit rejection sets.
 
 Every tail is a count of sequences over 2^n: an entry's tail rule
 returns the tail's name and count, the doubled head-count tail clipped
@@ -46,7 +46,6 @@ from itertools import combinations
 from typing import Callable, Iterator, NamedTuple
 
 from .exact import (
-    TAIL_LENGTH_LIMIT,
     CapExceededError,
     RunsDistribution,
     as_probability,
@@ -124,14 +123,6 @@ class TestVerdict(NamedTuple):
         }
 
 
-def _count(n: int, lo: int, hi: int, low: int) -> int:
-    """Number of length-n sequences whose statistic, of law low + Binomial(n - low, 1/2), lies in lo..hi."""
-    if not (0 < n <= TAIL_LENGTH_LIMIT and low <= lo <= hi <= n):
-        check_tail_length(n)
-        raise ValueError(f"statistic range {lo}..{hi} outside {low}..{n}")
-    return binomial_count_between(n, lo, hi, low)
-
-
 def _checked(test: str, convention: str) -> Statistic:
     """The table entry for ``test``, with ``convention`` checked too: the tail rules take both as given."""
     stat = statistic(test)
@@ -143,23 +134,23 @@ def _checked(test: str, convention: str) -> Statistic:
 def runs_pvalue(n: int, r: int, tail: str) -> Fraction:
     """Exact tail probability of the run count: P(R <= r) for ``lower``, P(R >= r) for ``upper``."""
     if tail == "lower":
-        return dyadic(_count(n, 1, r, 1), n)
+        return dyadic(binomial_count_between(n, 1, r, 1), n)
     if tail == "upper":
-        return dyadic(_count(n, r, n, 1), n)
+        return dyadic(binomial_count_between(n, r, n, 1), n)
     raise ValueError(f"unknown tail {tail!r}; expected 'lower' or 'upper'")
 
 
 def runs_distribution(n: int) -> RunsDistribution:
     """Run-count distribution from the table, for n up to TAIL_LENGTH_LIMIT."""
     check_tail_length(n)
-    return RunsDistribution(tuple(_count(n, r, r, 1) for r in range(1, n + 1)))
+    return RunsDistribution(tuple(binomial_count_between(n, r, r, 1) for r in range(1, n + 1)))
 
 
 def _runs_tail(n: int, r: int, convention: str) -> tuple[str, int]:
     """Tail name and count for an observed run count; every convention gives the same."""
     if 2 * r > n + 1:
-        return "upper", _count(n, r, n, 1)
-    return "lower", _count(n, 1, r, 1)
+        return "upper", binomial_count_between(n, r, n, 1)
+    return "lower", binomial_count_between(n, 1, r, 1)
 
 
 def _binomial_tail(n: int, k: int, convention: str) -> tuple[str, int]:
@@ -168,7 +159,9 @@ def _binomial_tail(n: int, k: int, convention: str) -> tuple[str, int]:
     ``upper`` counts K >= k when k >= n/2 and ``lower`` K <= k otherwise;
     ``two-sided-doubled`` reports ``doubled``, that count doubled and clipped at 2^n.
     """
-    tail, count = ("upper", _count(n, k, n, 0)) if 2 * k >= n else ("lower", _count(n, 0, k, 0))
+    tail, count = (
+        ("upper", binomial_count_between(n, k, n, 0)) if 2 * k >= n else ("lower", binomial_count_between(n, 0, k, 0))
+    )
     if convention == TWO_SIDED_DOUBLED:
         return "doubled", min(2 * count, 1 << n)
     return tail, count
@@ -268,7 +261,7 @@ def statistic_pvalue(test: str, n: int, value: int, convention: str = ONE_SIDED)
 
 def statistic_count(test: str, n: int, value: int) -> int:
     """Number of length-n sequences whose statistic equals ``value``, by table lookup."""
-    return _count(n, value, value, statistic(test).low)
+    return binomial_count_between(n, value, value, statistic(test).low)
 
 
 def pvalue_spectrum(seq: BinarySequence, test: str, convention: str = ONE_SIDED) -> Counter:
@@ -285,7 +278,7 @@ def pvalue_spectrum(seq: BinarySequence, test: str, convention: str = ONE_SIDED)
     tally: dict[int, int] = {}
     for v in statistic_domain(test, n):
         count = stat.tail(n, v, convention)[1]
-        tally[count] = tally.get(count, 0) + _count(n, v, v, stat.low)
+        tally[count] = tally.get(count, 0) + binomial_count_between(n, v, v, stat.low)
     return Counter({dyadic(count, n): sequences for count, sequences in tally.items()})
 
 
@@ -347,7 +340,7 @@ def rejection_set(
     alpha = as_probability(alpha)
     values = _rejected_values(test, n, alpha, convention)
     stat = statistic(test)
-    mass = sum(_count(n, v, v, stat.low) for v in values)
+    mass = sum(binomial_count_between(n, v, v, stat.low) for v in values)
     sequences = None
     if include_sequences:
         if mass > LISTING_LIMIT:

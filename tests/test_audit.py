@@ -82,7 +82,7 @@ class TestVerdictUnderRelabeling:
 
     def test_identity_mask_never_flips(self):
         for test in (RUNS, BINOMIAL):
-            audit = verdict_under_relabeling(parse_sequence(A), RelabelMask.identity(9), test, ALPHA)
+            audit = verdict_under_relabeling(parse_sequence(A), RelabelMask.from_int(0, 9), test, ALPHA)
             assert not audit.flipped
             # only the vocab label may differ between the two verdicts
             assert audit.relabeled.statistic == audit.original.statistic

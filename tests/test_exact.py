@@ -29,7 +29,6 @@ from randaudit import (
     decimal_string,
     enumerate_runs_distribution,
     exact_decimal_string,
-    parse_probability,
     parse_rational,
     runs_distribution,
     runs_pvalue,
@@ -512,24 +511,24 @@ class TestCentreTable:
 
 class TestProbabilityHelpers:
     def test_parse_probability(self):
-        assert parse_probability("1/20") == Fraction(1, 20)
-        assert parse_probability("0.05") == Fraction(1, 20)
-        assert parse_probability(" 1 ") == 1
+        assert as_probability("1/20") == Fraction(1, 20)
+        assert as_probability("0.05") == Fraction(1, 20)
+        assert as_probability(" 1 ") == 1
         with pytest.raises(ValueError):
-            parse_probability("3/2")
+            as_probability("3/2")
         with pytest.raises(ValueError):
-            parse_probability("h")
+            as_probability("h")
         with pytest.raises(ValueError):
-            parse_probability("1/0")
+            as_probability("1/0")
 
     def test_parse_dyadic_probability(self):
-        assert parse_probability("1/2^985") == Fraction(1, 2**985)
-        assert parse_probability(" 3/2^2 ") == Fraction(3, 4)
-        assert parse_probability("1/2^0") == 1
-        assert parse_probability(f"1/2^{TAIL_LENGTH_LIMIT}") == Fraction(1, 2**TAIL_LENGTH_LIMIT)
+        assert as_probability("1/2^985") == Fraction(1, 2**985)
+        assert as_probability(" 3/2^2 ") == Fraction(3, 4)
+        assert as_probability("1/2^0") == 1
+        assert as_probability(f"1/2^{TAIL_LENGTH_LIMIT}") == Fraction(1, 2**TAIL_LENGTH_LIMIT)
         for text in (f"1/2^{TAIL_LENGTH_LIMIT + 1}", "1/2^" + "9" * 5000, "3/2^1", "1/2^-1", "-1/2^3", "1/3^2"):
             with pytest.raises(ValueError, match="probability"):
-                parse_probability(text)
+                as_probability(text)
 
     @pytest.mark.parametrize(
         "text", ["3/4", "-2", " 0.05 ", ".5", "1e-3", "7.5E+2", "1_000e-2", "\u0661/\u0662", "1e5000", "-1e-5000"]
@@ -557,7 +556,7 @@ class TestProbabilityHelpers:
         with pytest.raises(ValueError, match=f"exponent of magnitude above {TAIL_LENGTH_LIMIT}"):
             parse_rational(text)
         with pytest.raises(ValueError, match="probability"):
-            parse_probability(text)
+            as_probability(text)
         assert time.perf_counter() - start < 0.1
 
     def test_parse_rational_errors_name_the_value(self):
@@ -577,14 +576,14 @@ class TestProbabilityHelpers:
 
     def test_parse_probability_refuses_what_a_report_cannot_render(self):
         limit = sys.get_int_max_str_digits()
-        assert parse_probability(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+        assert as_probability(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
         for text in (f"1e-{limit}", f"9.99e-{limit - 1}"):
             with pytest.raises(ValueError, match=f"cannot parse probability from '{text}'"):
-                parse_probability(text)
+                as_probability(text)
             assert parse_rational(text) == Fraction(text)
         sys.set_int_max_str_digits(0)  # no limit
         try:
-            assert parse_probability(f"1e-{limit}") == Fraction(1, 10**limit)
+            assert as_probability(f"1e-{limit}") == Fraction(1, 10**limit)
         finally:
             sys.set_int_max_str_digits(limit)
 

@@ -118,7 +118,7 @@ class TestMasks:
         assert mask.flip_string() == "011011110"
 
     def test_full_index_set_is_identity(self):
-        assert mask_from_index_set(range(1, 8), 7).is_identity()
+        assert mask_from_index_set(range(1, 8), 7).flip_count() == 0
 
     def test_empty_index_set_flips_everything(self):
         assert mask_from_index_set((), 3).flipped_positions() == (1, 2, 3)
@@ -142,11 +142,11 @@ class TestMasks:
         a = RelabelMask.from_flip_string("0110")
         b = RelabelMask.from_flip_string("0011")
         assert a.compose(b).flip_string() == "0101"
-        assert a.compose(a).is_identity()
+        assert a.compose(a).flip_count() == 0
 
     def test_compose_length_mismatch(self):
         with pytest.raises(ValueError):
-            RelabelMask.identity(3).compose(RelabelMask.identity(4))
+            RelabelMask.from_int(0, 3).compose(RelabelMask.from_int(0, 4))
 
 
 class TestRelabeling:
@@ -166,16 +166,16 @@ class TestRelabeling:
 
     def test_identity_mask_preserves_bits(self):
         seq = parse_sequence("HTTHT")
-        assert apply_relabeling(seq, RelabelMask.identity(5)).bits == seq.bits
+        assert apply_relabeling(seq, RelabelMask.from_int(0, 5)).bits == seq.bits
 
     def test_new_vocab_label(self):
         seq = parse_sequence("HT", vocab="heads/tails")
-        assert apply_relabeling(seq, RelabelMask.identity(2), vocab="teads/hails").vocab == "teads/hails"
-        assert "relabeled" in apply_relabeling(seq, RelabelMask.identity(2)).vocab
+        assert apply_relabeling(seq, RelabelMask.from_int(0, 2), vocab="teads/hails").vocab == "teads/hails"
+        assert "relabeled" in apply_relabeling(seq, RelabelMask.from_int(0, 2)).vocab
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            apply_relabeling(parse_sequence("HT"), RelabelMask.identity(3))
+            apply_relabeling(parse_sequence("HT"), RelabelMask.from_int(0, 3))
 
     @given(seq_and_mask())
     def test_involution(self, pair):
@@ -194,7 +194,7 @@ class TestRelabeling:
 class TestMaskBetween:
     def test_identity_when_equal(self):
         seq = parse_sequence("HTTHT")
-        assert mask_between(seq, seq).is_identity()
+        assert mask_between(seq, seq).flip_count() == 0
 
     def test_paper_style_difference(self):
         a = parse_sequence("HTTHTHHHT")

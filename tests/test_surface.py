@@ -52,6 +52,9 @@ REFUSALS = [
     (randaudit.runs_distribution(3).count, (0,), r"run count 0 out of range 1\.\.3"),
     (randaudit.enumerate_runs_distribution, (0,), "length must be at least 1"),
     (randaudit.check_null_invariance, (0,), "length must be at least 1"),
+    # Text probabilities that a report could not render, from the library as from the CLI.
+    (randaudit.runs_test, (randaudit.parse_sequence("HTTH"), "1e-4400"), "denominator of more than"),
+    (randaudit.SourceModel, ("biased", "1e-4400"), "denominator of more than"),
 ]
 
 

@@ -365,7 +365,7 @@ SIMULATION_WORK_LIMIT SourceModel TAIL_LENGTH_LIMIT TWO_SIDED_DOUBLED
 TestVerdict apply_relabeling as_probability binomial_test
 check_null_invariance count_ones count_runs decimal_string
 enumerate_runs_distribution exact_decimal_string find_flipping_mask
-likelihood mask_between mask_from_index_set parse_model parse_probability parse_rational
+likelihood mask_between mask_from_index_set parse_model parse_rational
 parse_sequence posterior_odds pvalue_spectrum rejection_rate rejection_set
 runs_distribution runs_pvalue runs_test sample_sequence
 statistic_count statistic_domain statistic_pvalue

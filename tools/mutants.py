@@ -11,19 +11,23 @@ BASE -- src/``), this script makes one mutant at a time:
 
 Each mutant is written into a copy of the working tree in a temporary
 directory, where the whole tier-1 suite runs with ``python -m pytest -x
--q``, stopped after ``TIMEOUT_S`` seconds.  A mutant
-the tests pass is a survivor: either the tests miss a fault there, or the
-mutant computes the same thing as the original.  Survivors are printed
-with their line, before and after.  Exit status 0 means every mutant was
-killed, 1 that some survived, 2 that the unmutated tree failed its tests.
+-q``.  The unmutated suite runs there first, and its time sets each
+mutant's limit: three times as long plus 30 seconds.  A mutant that runs
+past the limit, for example one that makes a loop spin, counts as
+killed.  A mutant the tests pass is a survivor: either the tests miss a
+fault there, or the mutant computes the same thing as the original.
+Survivors are printed with their line, before and after.  Exit status 0
+means every mutant was killed, 1 that some survived, 2 that the
+unmutated tree failed its tests.
 
 Run from the repository root, with the standard library only:
 
     python tools/mutants.py               # against HEAD~1, the parent of the last commit
     python tools/mutants.py --base REV    # against any other revision
 
-A killed mutant costs one start of the suite up to its first failure; a
-survivor costs a whole run.  This is not a test and gates nothing.
+A killed mutant costs one start of the suite up to its first failure, a
+hung one its limit, and a survivor a whole run.  This is not a test and
+gates nothing.
 """
 
 from __future__ import annotations
@@ -59,8 +63,6 @@ SWAPS = {
     "^": "|",
     "@": "*",
 }
-# Seconds one run of the suite may take; a mutant that hangs it counts as killed.
-TIMEOUT_S = 300
 _HUNK = re.compile(r"^@@ -\d+(?:,\d+)? \+(\d+)(?:,(\d+))? @@", re.MULTILINE)
 
 
@@ -170,12 +172,12 @@ def copy_tree(root: Path, into: Path) -> None:
             shutil.copy2(src, into / name)
 
 
-def run_tests(tree: Path) -> str:
-    """'passed', 'failed' or 'timeout' for one run of the suite in ``tree``."""
+def run_tests(tree: Path, timeout: float | None = None) -> str:
+    """'passed', 'failed' or 'timeout' for one run of the suite in ``tree``, stopped after ``timeout`` seconds."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
     try:
-        done = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
+        done = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "passed" if done.returncode == 0 else "failed"
@@ -200,9 +202,13 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
         tree = Path(scratch)
         copy_tree(root, tree)
+        start = time.perf_counter()
         if run_tests(tree) != "passed":
             print("the unmutated tree fails its tests; no mutant was run")
             return 2
+        baseline = time.perf_counter() - start
+        limit = 3 * baseline + 30
+        print(f"the unmutated suite took {baseline:.0f} s; each mutant is stopped after {limit:.0f} s", flush=True)
         for i, m in enumerate(mutants, 1):
             target = tree / m.path
             original = target.read_text()
@@ -210,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
             target.write_text(mutated)
             start = time.perf_counter()
             try:
-                outcome = run_tests(tree)
+                outcome = run_tests(tree, limit)
             finally:
                 target.write_text(original)
             seconds = time.perf_counter() - start
