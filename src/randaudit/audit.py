@@ -63,14 +63,16 @@ class AuditResult(NamedTuple):
     def flipped(self) -> bool:
         return self.original.rejected != self.relabeled.rejected
 
-    def as_dict(self, emit_witness: bool = False) -> dict:
+    def as_dict(self, emit_witness: bool = False, x_set: bool = False) -> dict:
+        """The record as a report dict; ``x_set`` adds the mask's index set X after the mask."""
         payload = {
             "original": self.original.as_dict(),
             "relabeled": self.relabeled.as_dict(),
             "mask": self.mask.flip_string(),
-            "x_set": list(self.mask.index_set()),
-            "flipped": self.flipped,
         }
+        if x_set:
+            payload["x_set"] = list(self.mask.index_set())
+        payload["flipped"] = self.flipped
         if emit_witness:
             payload["witness"] = self.relabeled_sequence.text(lower=True)
         return payload
@@ -109,7 +111,6 @@ class FlipSearchResult(NamedTuple):
         return {
             "found": True,
             "mask": audit["mask"],
-            "x_set": list(audit["x_set"]),
             "flip_count": self.mask.flip_count(),
             "method": self.method,
             "guaranteed_minimal": self.guaranteed_minimal,
@@ -143,6 +144,75 @@ def _binomial_reversal(value: int, n: int, targets: set[int]) -> int:
     return max(options, key=lambda mask: mask & -mask)
 
 
+def _band_shape(n: int, f: int) -> tuple[int, int, int]:
+    """(radius, cap, w) of the band for at most f flips: its reach in breaks, its cost cap and its lane width."""
+    return 2 * f + 1, f + 1, (n + f).bit_length() + 1
+
+
+def _band_rows(edges: str, total: int, targets: set[int], f: int) -> tuple[list[int], int, int]:
+    """One pass of :func:`_runs_reversal`'s table for at most f flips.
+
+    Returns the rows ``cost[i, 0, ·]`` for i = n - 1 down to 0, and the
+    costs from m[0] = 0 and from m[0] = 1, where n = len(edges) + 1 and
+    ``total`` counts the sequence's breaks.
+
+    A row ``cost[i, c, ·]`` is one int whose lane j, ``w`` bits wide,
+    holds u = cap + (n - 1 - i) - cost at b = lo(i) + j, with cap = F + 1.
+    A step then adds 1 to the continuation with m[i + 1] = 0 and nothing
+    to the flip, and takes a lane-wise maximum, so u stays in 0..n + F.
+    A lane outside the band reads 0, a cost of at least cap, which no
+    mask within F flips reaches; the shifts that move a row between
+    bands fill such lanes without a mask.  Each lane carries one more bit
+    on top, the guard bit, and a subtraction with every guard set
+    compares all lanes at once without a borrow crossing between them.
+    The forward pass reads only the rows with c = 0, so only those are
+    kept.
+    """
+    n = len(edges) + 1
+    radius, cap, w = _band_shape(n, f)
+    top = w - 1
+    width = min(n, 2 * radius + 1)  # lanes in the widest row
+    all_ones = int("1".zfill(w) * width, 2)
+    b0 = total  # the sequence's own breaks before position i
+    lo, hi = max(0, b0 - radius), min(n - 1, b0 + radius)
+    target, other = format(cap, f"0{w}b"), "0" * w
+    r0 = r1 = int("".join(target if b + 1 in targets else other for b in range(hi, lo - 1, -1)), 2)
+    k = hi - lo  # the row's lanes, less one
+    ones = all_ones >> (w * (width - 1 - k))
+    guard = ones << top
+    rows = [r0]
+    for i in range(n - 2, -1, -1):
+        # The continuation with m[i + 1] = 0 gains 1, the flip nothing.
+        # After the swap across a break of the sequence, x continues
+        # m[i] = 0 without a break (``keep``, read at b) and y with one
+        # (``turn``, read at b + 1); from m[i] = 1 they trade places.
+        x, y = r0 + ones, r1
+        edge = edges[i] == "1"
+        if edge:
+            b0 -= 1
+            x, y = y, x
+        if edge and b0 >= radius:  # lo(i) = lo(i + 1) - 1
+            lo -= 1
+            keep_x, keep_y, turn_x, turn_y = x << w, y << w, x, y
+        else:
+            keep_x, keep_y, turn_x, turn_y = x, y, x >> w, y >> w
+        hi = b0 + radius if b0 + radius < i else i
+        if hi - lo != k:
+            k = hi - lo
+            ones = all_ones >> (w * (width - 1 - k))
+            guard = ones << top
+        # A guard survives the subtraction iff keep >= turn in its lane;
+        # there the low bits of d, keep - turn, lift turn to keep.
+        d = (keep_x | guard) - turn_y
+        ge = d & guard
+        r0 = turn_y + (d & (ge - (ge >> top)))
+        d = (keep_y | guard) - turn_x
+        ge = d & guard
+        r1 = turn_x + (d & (ge - (ge >> top)))
+        rows.append(r0)
+    return rows, cap + n - 1 - r0, cap + n - 1 - r1
+
+
 def _runs_reversal(value: int, n: int, targets: set[int]) -> int:
     """Fewest flips carrying the run count of the packed sequence into ``targets``, as a packed mask.
 
@@ -162,19 +232,9 @@ def _runs_reversal(value: int, n: int, targets: set[int]) -> int:
     tie-break holds too.  F starts at ⌈δ/2⌉, where δ is the distance from
     the run count to the nearest target: a flip moves the count by at
     most two, so no fewer flips reach a target.  F then doubles until the
-    band's optimum is at most F.
+    band's optimum is at most F, one :func:`_band_rows` pass per F.
 
-    A row ``cost[i, c, ·]`` is one int whose lane j, ``w`` bits wide,
-    holds u = cap + (n - 1 - i) - cost at b = lo(i) + j, with cap = F + 1.
-    A step then adds 1 to the continuation with m[i + 1] = 0 and nothing
-    to the flip, and takes a lane-wise maximum, so u stays in 0..n + F.
-    A lane outside the band reads 0, a cost of at least cap, which no
-    mask within F flips reaches; the shifts that move a row between
-    bands fill such lanes without a mask.  Each lane carries one more bit
-    on top, the guard bit, and a subtraction with every guard set
-    compares all lanes at once without a borrow crossing between them.
-    The forward pass reads only the rows with c = 0, so only those are
-    kept.  A pass takes O(n F log n) bit operations and as many bits of
+    A pass takes O(n F log n) bit operations and as many bits of
     memory, and never more than the whole triangle, n^2 w / 2 bits.  At
     n = 5000 on a 2-vCPU x86-64 machine with Python 3.11 (median of 5 in
     one process, row warm, alpha = 1/20), random inputs at seeds 1-3
@@ -187,54 +247,15 @@ def _runs_reversal(value: int, n: int, targets: set[int]) -> int:
     total = edges.count("1")
     f = max(1, (min(abs(t - 1 - total) for t in targets) + 1) // 2)  # at least 1, so doubling moves it
     while True:
-        radius, cap = 2 * f + 1, f + 1
-        w = (n + f).bit_length() + 1
-        top, lane = w - 1, (1 << w) - 1
-        width = min(n, 2 * radius + 1)  # lanes in the widest row
-        all_ones = int("1".zfill(w) * width, 2)
-        b0 = total  # the sequence's own breaks before position i
-        lo, hi = max(0, b0 - radius), min(n - 1, b0 + radius)
-        target, other = format(cap, f"0{w}b"), "0" * w
-        r0 = r1 = int("".join(target if b + 1 in targets else other for b in range(hi, lo - 1, -1)), 2)
-        k = hi - lo  # the row's lanes, less one
-        ones = all_ones >> (w * (width - 1 - k))
-        guard = ones << top
-        rows = [r0]  # cost[i, 0, ·] for i = n - 1 down to 0
-        for i in range(n - 2, -1, -1):
-            # The continuation with m[i + 1] = 0 gains 1, the flip nothing.
-            # After the swap across a break of the sequence, x continues
-            # m[i] = 0 without a break (``keep``, read at b) and y with one
-            # (``turn``, read at b + 1); from m[i] = 1 they trade places.
-            x, y = r0 + ones, r1
-            edge = edges[i] == "1"
-            if edge:
-                b0 -= 1
-                x, y = y, x
-            if edge and b0 >= radius:  # lo(i) = lo(i + 1) - 1
-                lo -= 1
-                keep_x, keep_y, turn_x, turn_y = x << w, y << w, x, y
-            else:
-                keep_x, keep_y, turn_x, turn_y = x, y, x >> w, y >> w
-            hi = b0 + radius if b0 + radius < i else i
-            if hi - lo != k:
-                k = hi - lo
-                ones = all_ones >> (w * (width - 1 - k))
-                guard = ones << top
-            # A guard survives the subtraction iff keep >= turn in its lane;
-            # there the low bits of d, keep - turn, lift turn to keep.
-            d = (keep_x | guard) - turn_y
-            ge = d & guard
-            r0 = turn_y + (d & (ge - (ge >> top)))
-            d = (keep_y | guard) - turn_x
-            ge = d & guard
-            r1 = turn_x + (d & (ge - (ge >> top)))
-            rows.append(r0)
-        cost0, cost1 = cap + n - 1 - r0, cap + n - 1 - r1
+        rows, cost0, cost1 = _band_rows(edges, total, targets, f)
         best = min(cost0, 1 + cost1)
         if best <= f:
             break
+        del rows  # so the wider pass does not hold both tables
         f *= 2
     rows.reverse()
+    radius, cap, w = _band_shape(n, f)
+    lane = (1 << w) - 1
     m = mask = 0 if cost0 == best else 1
     want = cap + n - 2 - (best - m)  # cost[i + 1, 0, b] is the flips left iff its lane holds want - i
     b0 = b = 0

@@ -194,7 +194,7 @@ def _audit(got: dict) -> tuple[dict, list[str]]:
         f"relabeled {audit.relabeled_sequence.text(lower=True)}: {_pretty_verdict(audit.relabeled)}",
         f"verdict flipped: {'yes' if audit.flipped else 'no'}",
     ]
-    return {"results": [audit.as_dict(emit_witness=got["emit_witness"])]}, lines
+    return {"results": [audit.as_dict(emit_witness=got["emit_witness"], x_set=True)]}, lines
 
 
 def _flip_search(got: dict) -> tuple[dict, list[str]]:
@@ -218,7 +218,7 @@ def _spectrum(got: dict) -> tuple[dict, list[str]]:
 def _distribution(got: dict) -> tuple[dict, Iterable[str]]:
     dist = enumerate_runs_distribution(got["n"]) if got["oracle"] else runs_distribution(got["n"])
     if got["format"] == "csv":
-        return {}, dist.to_csv().splitlines()
+        return {}, dist.csv_lines()
     table = dist.to_json_dict()
     # Built only if printed: at n = 5000 the lines hold 30 MB that a JSON report never reads.
     lines = (f"r={row['r']:>3}  count={row['count']}  pmf={row['pmf']['decimal']}" for row in table["rows"])

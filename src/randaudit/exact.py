@@ -360,11 +360,14 @@ class RunsDistribution(NamedTuple):
             p = dyadic(count, n)
             yield r, count, p, exact_decimal_string(p)
 
-    def to_csv(self) -> str:
-        lines = ["r,count,pmf-numerator,pmf-denominator,pmf-decimal"]
+    def csv_lines(self) -> Iterator[str]:
+        """The CSV table, header first, one line at a time and without line ends."""
+        yield "r,count,pmf-numerator,pmf-denominator,pmf-decimal"
         for r, count, p, decimal in self._rows():
-            lines.append(f"{r},{count},{p.numerator},{p.denominator},{decimal}")
-        return "\n".join(lines) + "\n"
+            yield f"{r},{count},{p.numerator},{p.denominator},{decimal}"
+
+    def to_csv(self) -> str:
+        return "\n".join(self.csv_lines()) + "\n"
 
     def to_json_dict(self) -> dict:
         rows = [

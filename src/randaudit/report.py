@@ -26,7 +26,7 @@ from .exact import decimal_string, prob_dict
 from .sequences import mask_from_index_set, parse_sequence
 from .verdicts import BINOMIAL, ONE_SIDED, RUNS, TWO_SIDED_DOUBLED, TestVerdict, binomial_test, runs_test
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def build_report(command: str, inputs: dict, results: list, notes: list[str]) -> dict:
@@ -80,7 +80,7 @@ def _verdict_row(label: str, verdict: TestVerdict, rendering: str) -> dict:
 
 
 def _audit_row(label: str, audit: AuditResult) -> dict:
-    row = audit.as_dict(emit_witness=True)
+    row = audit.as_dict(emit_witness=True, x_set=True)
     row["label"] = label
     return row
 

@@ -27,8 +27,6 @@ from itertools import compress
 from operator import index
 from typing import Iterable, Sequence
 
-from .exact import TAIL_LENGTH_LIMIT
-
 __all__ = [
     "BinarySequence",
     "ParseError",
@@ -49,13 +47,6 @@ _LOWER = str.maketrans("10", "ht")
 # Selector bytes for itertools.compress over a mask's 0/1 digits.
 _FLIPPED = bytes.maketrans(b"01", b"\x00\x01")
 _KEPT = bytes.maketrans(b"01", b"\x01\x00")
-# The 1-based positions 1..len, shared by every mask up to TAIL_LENGTH_LIMIT
-# long, so a position list holds these ints instead of allocating one per
-# position above 256.  It grows at least twofold, up to that cap, and each
-# growth is published in one assignment, so a concurrent reader sees the old
-# tuple or the new one, never a part of either.  Of two growths that race,
-# the shorter may be published last; a later mask then grows it again.
-_shared_positions: tuple[int, ...] = ()
 
 
 class ParseError(ValueError):
@@ -203,13 +194,9 @@ def count_ones(seq: BinarySequence) -> int:
 
 
 class RelabelMask(_Packed):
-    """A per-position flip pattern; True inverts the reading there.
+    """A per-position flip pattern; True inverts the reading there."""
 
-    ``_kept`` holds the index set once :meth:`index_set` has built it; it
-    is no field, so equality, hashing, copies and pickles ignore it.
-    """
-
-    __slots__ = ("_kept",)
+    __slots__ = ()
 
     def __init__(self, flips: Sequence[bool]) -> None:
         if len(flips) == 0:
@@ -241,41 +228,21 @@ class RelabelMask(_Packed):
     def _positions(self, table: bytes) -> tuple[int, ...]:
         """The 1-based positions whose digit ``table`` maps to a nonzero selector."""
         n = self.n
-        selectors = _digits(self.value, n).encode().translate(table)
-        if n > TAIL_LENGTH_LIMIT:
-            return tuple(compress(range(1, n + 1), selectors))
-        positions = _shared_positions
-        if len(positions) < n:
-            positions = _grow_positions(n)
-        # compress stops at the n selectors, however long the shared tuple is.
-        return tuple(compress(positions, selectors))
+        return tuple(compress(range(1, n + 1), _digits(self.value, n).encode().translate(table)))
 
     def flipped_positions(self) -> tuple[int, ...]:
         """1-based positions whose reading is inverted."""
         return self._positions(_FLIPPED)
 
     def index_set(self) -> tuple[int, ...]:
-        """The kept positions: the 1-based index set X this mask encodes, built on the first call."""
-        kept = getattr(self, "_kept", None)
-        if kept is None:
-            # Threads that race here build equal tuples, and the slot takes one of them whole.
-            kept = self._positions(_KEPT)
-            object.__setattr__(self, "_kept", kept)
-        return kept
+        """The kept positions: the 1-based index set X this mask encodes."""
+        return self._positions(_KEPT)
 
     def compose(self, other: "RelabelMask") -> "RelabelMask":
         """Apply ``other`` after ``self``; flips combine by exclusive-or."""
         if self.n != other.n:
             raise ValueError(f"mask lengths differ: {self.n} vs {other.n}")
         return RelabelMask.from_int(self.value ^ other.value, self.n)
-
-
-def _grow_positions(n: int) -> tuple[int, ...]:
-    """Publish a shared position tuple holding at least 1..n, for n <= TAIL_LENGTH_LIMIT."""
-    global _shared_positions
-    size = min(TAIL_LENGTH_LIMIT, max(n, 2 * len(_shared_positions)))
-    positions = _shared_positions = tuple(range(1, size + 1))
-    return positions
 
 
 def mask_from_index_set(indices: Iterable[int], n: int) -> RelabelMask:

@@ -94,7 +94,8 @@ class TestVerdictUnderRelabeling:
         assert audit.flipped == (audit.original.rejected != audit.relabeled.rejected)
         direct = runs_test(audit.relabeled_sequence, ALPHA)
         assert direct.p == audit.relabeled.p and direct.rejected == audit.relabeled.rejected
-        assert audit.as_dict()["x_set"] == [1, 4, 9]
+        assert "x_set" not in audit.as_dict() and audit.as_dict()["mask"] == X_MASK.flip_string()
+        assert audit.as_dict(x_set=True)["x_set"] == [1, 4, 9] == list(X_MASK.index_set())
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -396,7 +397,7 @@ class TestRunsReversalAgainstReference:
         assert result.mask.flip_count() == 1221
         assert result.audit.flipped
 
-    def test_band_doubles_until_it_holds_the_optimum(self):
+    def test_band_doubles_until_it_holds_the_optimum(self, monkeypatch):
         # Two runs at n = 8 are accepted at 1/20 and one run, a break away,
         # is rejected, so the first band allows F = 1 flip; one run takes
         # the 4 flips of a whole block, so F doubles twice.  Found by
@@ -405,7 +406,16 @@ class TestRunsReversalAgainstReference:
         seq = parse_sequence("HHHHTTTT")
         targets = _run_count_targets(seq, ALPHA, ONE_SIDED)
         assert targets == [1, 8]
+        passes = []
+        band_rows = audit_mod._band_rows
+
+        def recorded(edges, total, targets, f):
+            passes.append(f)
+            return band_rows(edges, total, targets, f)
+
+        monkeypatch.setattr(audit_mod, "_band_rows", recorded)
         result = find_flipping_mask(seq, RUNS, ALPHA)
+        assert passes == [1, 2, 4]
         assert result is not None and result.mask.flip_count() == 4
         assert result.mask == brute_force_minimal(seq, RUNS, ALPHA, ONE_SIDED)
         assert result.mask.flip_string() == "00001111"

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -35,7 +36,7 @@ def frac(prob: dict) -> Fraction:
 class TestVerdictCommands:
     def test_runs_test_report(self, capsys):
         report = invoke_json(capsys, "runs-test", "--seq", "HTTHTHHHT", "--alpha", "1/20")
-        assert report["schema_version"] == "1"
+        assert report["schema_version"] == "2"
         assert report["command"] == "runs-test"
         result = report["results"][0]
         assert frac(result["p"]) == Fraction(186, 512)
@@ -91,6 +92,20 @@ class TestRelabelCommands:
         assert result["witness"] == "htththhht"
         assert result["x_set"] == [1, 4, 9]
 
+    @pytest.mark.parametrize("n", [9, 300])
+    @pytest.mark.parametrize("given", ["--x-set", "--mask"])
+    def test_audit_x_set_is_the_kept_positions(self, capsys, given, n):
+        rng = random.Random(n)
+        seq = "".join(rng.choice("HT") for _ in range(n))
+        flips = "".join(rng.choice("01") for _ in range(n))
+        kept = [i for i, f in enumerate(flips, start=1) if f == "0"]
+        relabeling = ",".join(map(str, kept)) if given == "--x-set" else flips
+        report = invoke_json(capsys, "audit", "--seq", seq, given, relabeling, "--test", "runs")
+        result = report["results"][0]
+        assert list(result) == ["original", "relabeled", "mask", "x_set", "flipped"]
+        assert result["mask"] == flips and result["x_set"] == kept
+        assert report["inputs"]["mask"] == flips and report["inputs"]["x_set"] == kept
+
     def test_flip_search_found(self, capsys):
         report = invoke_json(
             capsys, "flip-search", "--seq", "HHHHHTTTT", "--test", "runs", "--minimize"
@@ -99,6 +114,7 @@ class TestRelabelCommands:
         assert result["found"] is True
         assert result["mask"] == "000000001"
         assert result["guaranteed_minimal"] is True
+        assert "x_set" not in result and "x_set" not in result["audit"]
 
     def test_flip_search_absent(self, capsys):
         report = invoke_json(capsys, "flip-search", "--seq", "H", "--test", "runs")
@@ -242,7 +258,8 @@ class TestErrorsAndStability:
         """
         src = str(Path(__file__).resolve().parents[1] / "src")
         argv = [sys.executable, "-m", "randaudit", "distribution", "--n", "1000", *rendering]
-        with subprocess.Popen(argv, env={"PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
             assert len(child.stdout.read(5)) == 5
             child.stdout.close()
             err = child.stderr.read()
@@ -256,7 +273,7 @@ class TestErrorsAndStability:
         streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
         return subprocess.run(
             [sys.executable, "-m", "randaudit", *argv],
-            env={"PYTHONPATH": src},
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
             preexec_fn=None if close is None else (lambda: os.close(close)),
             timeout=60,
             **streams,
@@ -423,6 +440,13 @@ class TestReproduceCommand:
         checks = next(r for r in report["results"] if r["section"] == "checks")
         assert all(row["ok"] for row in checks["rows"])
 
+    def test_audit_rows_keep_the_papers_index_sets(self, capsys):
+        report = invoke_json(capsys, "reproduce-paper")
+        audits = [row for section in report["results"][1:3] for row in section["rows"] if "mask" in row]
+        assert [row["x_set"] for row in audits] == [[1, 4, 9], [1, 4, 9], [2, 3, 5, 9], [2, 3, 5, 9]]
+        for row in audits:
+            assert row["x_set"] == [i for i, f in enumerate(row["mask"], start=1) if f == "0"]
+
     def test_a_deviation_fails_the_run(self, capsys, monkeypatch):
         # Sequence A's run-count p made 1/512 too large: 187/512 renders 0.365.
         seq_a = parse_sequence(report_mod._SEQ_A)
@@ -528,7 +552,11 @@ def modules_loaded_after(argv: list[str] | str) -> set[str]:
     code = f"import sys\n{run}print(code, *[m for m in {WATCHED!r} if m in sys.modules])\n"
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
-        [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
     assert done.returncode == 0, done.stderr
     exit_code, *loaded = done.stdout.split()

@@ -1,8 +1,6 @@
 """The packed (value, n) layout against tuple tallies written here."""
 
 import random
-import sys
-import threading
 import time
 from fractions import Fraction
 
@@ -20,7 +18,6 @@ from randaudit import (
     likelihood,
     mask_from_index_set,
     parse_sequence,
-    sequences,
 )
 
 LENGTHS = [1, 2, 63, 64, 65, *random.Random(20120525).sample(range(3, 301), 12)]
@@ -150,19 +147,18 @@ def test_a_million_positions_take_under_a_tenth_of_a_second():
     assert relabeled.value == value ^ flips
 
 
-# Masks up to TAIL_LENGTH_LIMIT long share one tuple of position ints.
 CAP = TAIL_LENGTH_LIMIT
 
 
-@pytest.mark.parametrize("n", [1, CAP - 1, CAP, CAP + 1])
-def test_positions_at_the_shared_tuple_cap_match_generator_expressions(n):
+@pytest.mark.parametrize("n", [1, 9, 300, CAP - 1, CAP, CAP + 1])
+def test_positions_around_the_length_limit_match_generator_expressions(n):
     rng = random.Random(n)
     for value in (0, (1 << n) - 1, 1, 1 << (n - 1), rng.getrandbits(n), rng.getrandbits(n)):
         mask = RelabelMask.from_int(value, n)
         _, flipped, kept = generator_positions(mask)
         assert mask.flipped_positions() == flipped
         assert mask.index_set() == kept
-    assert len(sequences._shared_positions) <= CAP
+        assert mask.index_set() == kept  # a repeated call reads the same set
 
 
 @pytest.mark.parametrize("n", [1, 2, 300, CAP, CAP + 1])
@@ -171,56 +167,9 @@ def test_the_identity_mask_flips_no_position(n):
     assert RelabelMask.from_int(0, n).index_set() == tuple(range(1, n + 1))
 
 
-def test_a_million_position_mask_leaves_the_shared_tuple_within_the_cap(monkeypatch):
-    monkeypatch.setattr(sequences, "_shared_positions", ())
+def test_a_million_position_mask_matches_generator_expressions():
     n = 10**6
     mask = RelabelMask.from_int(random.Random(10).getrandbits(n), n)
-    kept = mask.index_set()
-    assert len(kept) == n - mask.flip_count() and kept[-1] <= n
-    assert len(sequences._shared_positions) <= CAP
-    RelabelMask.from_int(1, CAP).index_set()
-    assert len(sequences._shared_positions) == CAP
-    mask.flipped_positions()
-    assert len(sequences._shared_positions) == CAP
-
-
-@pytest.mark.parametrize("n", [1, 9, 300, CAP, CAP + 1])
-def test_a_mask_builds_its_index_set_once(n):
-    # Position n is kept, so the index set is never the shared empty tuple.
-    mask = RelabelMask.from_int(random.Random(-n).getrandbits(n) >> 1, n)
     _, flipped, kept = generator_positions(mask)
+    assert mask.index_set() == kept and len(kept) == n - mask.flip_count()
     assert mask.flipped_positions() == flipped
-    first = mask.index_set()
-    assert first == kept and mask.index_set() is first
-    assert mask.flipped_positions() == flipped
-    assert len(sequences._shared_positions) <= CAP
-    # A mask equal to this one but built apart keeps its own set.
-    twin = RelabelMask.from_int(mask.value, n)
-    assert twin.index_set() == first and twin.index_set() is not first
-
-
-def test_threads_reading_fresh_masks_get_one_index_set():
-    workers, n = 8, CAP
-    rng = random.Random(12)
-    masks = [RelabelMask.from_int(rng.getrandbits(n) >> 1, n) for _ in range(40)]
-    expected = [generator_positions(mask)[2] for mask in masks]
-    seen = [[] for _ in range(workers)]
-    together = threading.Barrier(workers, timeout=60)
-
-    def read(i: int) -> None:
-        together.wait()
-        seen[i] = [mask.index_set() for mask in masks]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert all(sets == expected for sets in seen)
-    assert [mask.index_set() for mask in masks] == expected

@@ -281,43 +281,41 @@ class TestSourceModelChecksEveryPath:
         assert likelihood(SourceModel(MARKOV, stay="3/4"), seq) == Fraction(1, 8)
 
 
-class TestMaskIndexSetCache:
-    """A mask keeps the index set it builds; nothing that compares, copies or renders it sees the cache."""
+AUDIT_KEYS = ["original", "relabeled", "mask", "flipped"]
+SEARCH_KEYS = ["found", "mask", "flip_count", "method", "guaranteed_minimal", "audit"]
 
-    @staticmethod
-    def _masks(filled: bool) -> tuple[RelabelMask, RelabelMask]:
-        a, b = mask_from_index_set(X_SET, 9), mask_from_index_set(X_SET, 9)
-        if filled:
-            a.index_set()
-        return a, b
 
-    @pytest.mark.parametrize("filled", [False, True], ids=["empty", "filled"])
-    def test_equality_hash_copies_and_pickles_ignore_the_cache(self, filled):
-        a, b = self._masks(filled)
-        assert a == b and b == a and hash(a) == hash(b)
-        assert repr(a) == "RelabelMask(value=246, n=9)"
-        copies = [copy.copy(a), copy.deepcopy(a)]
-        copies += [pickle.loads(pickle.dumps(a, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-        for other in copies:
-            assert type(other) is RelabelMask and other == a == b and hash(other) == hash(b)
-            assert other.index_set() == X_SET
+class TestReportDictsGiveTheRelabelingOnce:
+    """An audit or flip-search dict names its relabeling by its mask only; the index set X is opt-in."""
 
-    @pytest.mark.parametrize("filled", [False, True], ids=["empty", "filled"])
-    def test_the_cache_slot_cannot_be_assigned_or_deleted(self, filled):
-        mask, _ = self._masks(filled)
-        with pytest.raises(AttributeError):
-            setattr(mask, "_kept", (1, 2, 3))
-        with pytest.raises(AttributeError):
-            del mask._kept
-        assert mask.index_set() == X_SET
+    def test_an_audit_dict_carries_no_index_set(self):
+        audit = FACTORIES[AuditResult]()
+        assert list(audit.as_dict()) == AUDIT_KEYS
+        assert list(audit.as_dict(emit_witness=True)) == [*AUDIT_KEYS, "witness"]
+
+    def test_an_index_set_asked_for_follows_the_mask(self):
+        audit = FACTORIES[AuditResult]()
+        d = audit.as_dict(emit_witness=True, x_set=True)
+        assert list(d) == ["original", "relabeled", "mask", "x_set", "flipped", "witness"]
+        assert d["x_set"] == list(X_SET) and d["mask"] == audit.mask.flip_string()
+        assert {k: v for k, v in d.items() if k != "x_set"} == audit.as_dict(emit_witness=True)
+
+    @pytest.mark.parametrize("test", [RUNS, BINOMIAL])
+    def test_a_search_dict_carries_no_index_set(self, test):
+        found = find_flipping_mask(parse_sequence("HHHHHTTTT"), test)
+        assert found is not None
+        d = found.as_dict(emit_witness=True)
+        assert list(d) == SEARCH_KEYS
+        assert list(d["audit"]) == [*AUDIT_KEYS, "witness"]
+        assert d["mask"] == d["audit"]["mask"] == found.mask.flip_string()
 
     def test_audits_sharing_a_mask_give_independent_x_set_lists(self):
         mask = mask_from_index_set(X_SET, 9)
         runs = verdict_under_relabeling(parse_sequence(SEQ), mask, RUNS)
         binomial = verdict_under_relabeling(parse_sequence(SEQ), mask, BINOMIAL)
-        first, second = runs.as_dict()["x_set"], binomial.as_dict()["x_set"]
+        first, second = runs.as_dict(x_set=True)["x_set"], binomial.as_dict(x_set=True)["x_set"]
         assert first == second == list(X_SET) and first is not second
         first.append(2)
         second.clear()
-        assert runs.as_dict()["x_set"] == binomial.as_dict()["x_set"] == list(X_SET)
+        assert runs.as_dict(x_set=True)["x_set"] == binomial.as_dict(x_set=True)["x_set"] == list(X_SET)
         assert mask.index_set() == X_SET

@@ -369,7 +369,8 @@ class TestBlockSampler:
             "assert 'numpy' not in sys.modules and 'numpy.random' not in sys.modules\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
-        done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, timeout=60)
+        env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
         assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 15, 16, 17, 300])

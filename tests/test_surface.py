@@ -30,9 +30,8 @@ def test_module_lists_are_disjoint_and_make_up_the_package_list():
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(demo):
-    done = subprocess.run(
-        [sys.executable, str(demo)], env={"PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, timeout=60
-    )
+    env = {"PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
 
