@@ -15,7 +15,8 @@ without enumerating them:
   ties broken by the lexicographically smallest flip string, is exact
   at every length.  For the head count it has a closed form; for the
   run count it is a dynamic program over (position, mask bit, breaks),
-  because a mask m toggles the adjacent-pair breaks m ^ (m >> 1).
+  because a mask m toggles the adjacent-pair breaks m ^ (m >> 1).  A pass
+  keeps the breaks that F flips reach, and F doubles until one returns a mask.
 
 Two capped oracles still enumerate: the null-invariance check here, over
 every mask, and :func:`~randaudit.exact.enumerate_runs_distribution`,
@@ -144,32 +145,37 @@ def _binomial_reversal(value: int, n: int, targets: set[int]) -> int:
     return max(options, key=lambda mask: mask & -mask)
 
 
-def _band_shape(n: int, f: int) -> tuple[int, int, int]:
-    """(radius, cap, w) of the band for at most f flips: its reach in breaks, its cost cap and its lane width."""
-    return 2 * f + 1, f + 1, (n + f).bit_length() + 1
-
-
-def _band_rows(edges: str, total: int, targets: set[int], f: int) -> tuple[list[int], int, int]:
+def _band_pass(edges: str, total: int, targets: set[int], f: int) -> int | None:
     """One pass of :func:`_runs_reversal`'s table for at most f flips.
 
-    Returns the rows ``cost[i, 0, ·]`` for i = n - 1 down to 0, and the
-    costs from m[0] = 0 and from m[0] = 1, where n = len(edges) + 1 and
-    ``total`` counts the sequence's breaks.
+    Returns the fewest-flip mask, packed, when the band's optimum is at
+    most f, and None otherwise.  Here n = len(edges) + 1 and ``total``
+    counts the sequence's breaks.
 
-    A row ``cost[i, c, ·]`` is one int whose lane j, ``w`` bits wide,
-    holds u = cap + (n - 1 - i) - cost at b = lo(i) + j, with cap = F + 1.
-    A step then adds 1 to the continuation with m[i + 1] = 0 and nothing
-    to the flip, and takes a lane-wise maximum, so u stays in 0..n + F.
-    A lane outside the band reads 0, a cost of at least cap, which no
-    mask within F flips reaches; the shifts that move a row between
-    bands fill such lanes without a mask.  Each lane carries one more bit
-    on top, the guard bit, and a subtraction with every guard set
-    compares all lanes at once without a borrow crossing between them.
-    The forward pass reads only the rows with c = 0, so only those are
-    kept.
+    A backward pass fills the rows ``cost[i, 0, ·]`` for i = n - 1 down
+    to 0.  A row ``cost[i, c, ·]`` is one int whose lane j, ``w`` bits
+    wide, holds u = cap + (n - 1 - i) - cost at b = lo(i) + j, with
+    cap = F + 1.  A step then adds 1 to the continuation with m[i + 1] = 0
+    and nothing to the flip, and takes a lane-wise maximum, so u stays in
+    0..n + F.  A lane outside the band reads 0, a cost of at least cap,
+    which no mask within F flips reaches; the shifts that move a row
+    between bands fill such lanes without a mask.  Each lane carries one
+    more bit on top, the guard bit, and a subtraction with every guard
+    set compares all lanes at once without a borrow crossing between
+    them.  The forward pass reads only the rows with c = 0, so only those
+    are kept.
+
+    A pass takes O(n F log n) bit operations and as many bits of memory,
+    and never more than the whole triangle, n^2 w / 2 bits.  At n = 5000
+    on a 2-vCPU x86-64 machine with Python 3.11 (median of 5 in one
+    process, row warm, alpha = 1/20), random inputs at seeds 1-3 (16-29
+    flips, one pass each) took 6-8 ms a pass and 12-15 ms for the whole
+    search, scan and audit included, with at most 1.3 MB of traced memory;
+    an alternating one (1,221 flips, nearly the whole triangle) took
+    60-63 ms a pass, 63-73 ms whole and 17.5 MB.
     """
     n = len(edges) + 1
-    radius, cap, w = _band_shape(n, f)
+    radius, cap, w = 2 * f + 1, f + 1, (n + f).bit_length() + 1
     top = w - 1
     width = min(n, 2 * radius + 1)  # lanes in the widest row
     all_ones = int("1".zfill(w) * width, 2)
@@ -180,7 +186,7 @@ def _band_rows(edges: str, total: int, targets: set[int], f: int) -> tuple[list[
     k = hi - lo  # the row's lanes, less one
     ones = all_ones >> (w * (width - 1 - k))
     guard = ones << top
-    rows = [r0]
+    rows = [r0] * n  # rows[i] is cost[i, 0, ·]
     for i in range(n - 2, -1, -1):
         # The continuation with m[i + 1] = 0 gains 1, the flip nothing.
         # After the swap across a break of the sequence, x continues
@@ -209,8 +215,26 @@ def _band_rows(edges: str, total: int, targets: set[int], f: int) -> tuple[list[
         d = (keep_y | guard) - turn_x
         ge = d & guard
         r1 = turn_x + (d & (ge - (ge >> top)))
-        rows.append(r0)
-    return rows, cap + n - 1 - r0, cap + n - 1 - r1
+        rows[i] = r0
+    cost0, cost1 = cap + n - 1 - r0, cap + n - 1 - r1
+    best = min(cost0, 1 + cost1)
+    if best > f:
+        return None
+    lane = (1 << w) - 1
+    m = mask = 0 if cost0 == best else 1
+    want = cap + n - 2 - (best - m)  # cost[i + 1, 0, b] is the flips left iff its lane holds want - i
+    b0 = b = 0
+    for i in range(n - 1):
+        edge = edges[i] == "1"
+        x = edge ^ m  # break added if m[i + 1] = 0
+        b0 += edge
+        lo = b0 - radius if b0 > radius else 0
+        m = 0 if (rows[i + 1] >> ((b + x - lo) * w)) & lane == want - i else 1
+        if m:
+            want += 1
+            mask |= 1 << (i + 1)
+        b += x ^ m
+    return mask
 
 
 def _runs_reversal(value: int, n: int, targets: set[int]) -> int:
@@ -231,44 +255,14 @@ def _runs_reversal(value: int, n: int, targets: set[int]) -> int:
     global one, and every fewest-flip mask lies in the band, so the
     tie-break holds too.  F starts at ⌈δ/2⌉, where δ is the distance from
     the run count to the nearest target: a flip moves the count by at
-    most two, so no fewer flips reach a target.  F then doubles until the
-    band's optimum is at most F, one :func:`_band_rows` pass per F.
-
-    A pass takes O(n F log n) bit operations and as many bits of
-    memory, and never more than the whole triangle, n^2 w / 2 bits.  At
-    n = 5000 on a 2-vCPU x86-64 machine with Python 3.11 (median of 5 in
-    one process, row warm, alpha = 1/20), random inputs at seeds 1-3
-    (16-29 flips) took 6-8 ms in this function alone and 12-15 ms for
-    the whole search, scan and audit included, with at most 1.6 MB of
-    traced memory; an alternating one (1,221 flips, nearly the whole
-    triangle) took 59-63 ms alone, 65-70 ms whole and 17.6 MB.
+    most two, so no fewer flips reach a target.  F then doubles until
+    :func:`_band_pass` finds the band's optimum at most F.
     """
     edges = format(value ^ (value >> 1), f"0{n}b")[:0:-1]  # edges[i] == "1": positions i and i + 1 differ
     total = edges.count("1")
     f = max(1, (min(abs(t - 1 - total) for t in targets) + 1) // 2)  # at least 1, so doubling moves it
-    while True:
-        rows, cost0, cost1 = _band_rows(edges, total, targets, f)
-        best = min(cost0, 1 + cost1)
-        if best <= f:
-            break
-        del rows  # so the wider pass does not hold both tables
+    while (mask := _band_pass(edges, total, targets, f)) is None:
         f *= 2
-    rows.reverse()
-    radius, cap, w = _band_shape(n, f)
-    lane = (1 << w) - 1
-    m = mask = 0 if cost0 == best else 1
-    want = cap + n - 2 - (best - m)  # cost[i + 1, 0, b] is the flips left iff its lane holds want - i
-    b0 = b = 0
-    for i in range(n - 1):
-        edge = edges[i] == "1"
-        x = edge ^ m  # break added if m[i + 1] = 0
-        b0 += edge
-        lo = b0 - radius if b0 > radius else 0
-        m = 0 if (rows[i + 1] >> ((b + x - lo) * w)) & lane == want - i else 1
-        if m:
-            want += 1
-            mask |= 1 << (i + 1)
-        b += x ^ m
     return mask
 
 

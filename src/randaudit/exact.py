@@ -169,9 +169,9 @@ def parse_rational(text: str, what: str = "rational") -> Fraction:
     names the value in the error message.
     """
     stripped = text.strip()
-    num, dyadic, power = stripped.partition("/2^")
+    num, slash, power = stripped.partition("/2^")
     try:
-        if dyadic and num.isdecimal() and power.isdecimal():
+        if slash and num.isdecimal() and power.isdecimal():
             if int(power) > TAIL_LENGTH_LIMIT:
                 raise ValueError(f"power of two above 2^{TAIL_LENGTH_LIMIT}")
             return Fraction(int(num), 1 << int(power))

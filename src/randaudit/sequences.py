@@ -23,7 +23,6 @@ head count a popcount, and the run count one more than the popcount of
 from __future__ import annotations
 
 import re
-from itertools import compress
 from operator import index
 from typing import Iterable, Sequence
 
@@ -44,9 +43,6 @@ _NOT_SYMBOL = re.compile("[^HhTt01]")
 _NOT_FLIP = re.compile("[^01]")
 _UPPER = str.maketrans("10", "HT")
 _LOWER = str.maketrans("10", "ht")
-# Selector bytes for itertools.compress over a mask's 0/1 digits.
-_FLIPPED = bytes.maketrans(b"01", b"\x00\x01")
-_KEPT = bytes.maketrans(b"01", b"\x01\x00")
 
 
 class ParseError(ValueError):
@@ -87,7 +83,7 @@ def _read_bits(text: str, illegal: re.Pattern, what: str, kind: str) -> int:
 
 
 def _packed(cls, what: str, value: int, n: int):
-    """A ``cls`` holding the n low bits of ``value``, checked to fit."""
+    """A ``cls`` holding the n low bits of ``value``, checked to fit: every packed value is built here."""
     if n < 1:
         raise ValueError(f"{what} length must be at least 1")
     value = index(value)
@@ -103,7 +99,7 @@ class _Packed:
     """Frozen base of the packed classes; ``_key()`` holds the fields ``__match_args__`` names.
 
     Two instances are equal only when they are of one class with equal
-    fields.  Copies and pickles are rebuilt through ``from_int``.
+    fields.  Constructors, copies and pickles all go through ``from_int``.
     """
 
     __slots__ = ("value", "n")
@@ -142,14 +138,12 @@ class BinarySequence(_Packed):
     __slots__ = ("vocab",)
     __match_args__ = ("value", "n", "vocab")
 
-    def __init__(self, bits: Sequence[int], vocab: str = "heads/tails") -> None:
+    def __new__(cls, bits: Sequence[int], vocab: str = "heads/tails") -> "BinarySequence":
         if len(bits) == 0:
             raise ValueError("a sequence must contain at least one outcome")
         if any(b not in (0, 1) for b in bits):
             raise ValueError("sequence bits must be 0 or 1")
-        object.__setattr__(self, "value", pack(bits))
-        object.__setattr__(self, "n", len(bits))
-        object.__setattr__(self, "vocab", vocab)
+        return cls.from_int(pack(bits), len(bits), vocab)
 
     def _key(self) -> tuple:
         return self.value, self.n, self.vocab
@@ -198,13 +192,12 @@ class RelabelMask(_Packed):
 
     __slots__ = ()
 
-    def __init__(self, flips: Sequence[bool]) -> None:
+    def __new__(cls, flips: Sequence[bool]) -> "RelabelMask":
         if len(flips) == 0:
             raise ValueError("a mask must cover at least one position")
         if any(f not in (False, True) for f in flips):
             raise ValueError("mask entries must be booleans")
-        object.__setattr__(self, "value", pack(flips))
-        object.__setattr__(self, "n", len(flips))
+        return cls.from_int(pack(flips), len(flips))
 
     @property
     def flips(self) -> tuple[bool, ...]:
@@ -225,18 +218,13 @@ class RelabelMask(_Packed):
     def flip_count(self) -> int:
         return self.value.bit_count()
 
-    def _positions(self, table: bytes) -> tuple[int, ...]:
-        """The 1-based positions whose digit ``table`` maps to a nonzero selector."""
-        n = self.n
-        return tuple(compress(range(1, n + 1), _digits(self.value, n).encode().translate(table)))
-
     def flipped_positions(self) -> tuple[int, ...]:
         """1-based positions whose reading is inverted."""
-        return self._positions(_FLIPPED)
+        return tuple(i for i, digit in enumerate(self.flip_string(), 1) if digit == "1")
 
     def index_set(self) -> tuple[int, ...]:
         """The kept positions: the 1-based index set X this mask encodes."""
-        return self._positions(_KEPT)
+        return tuple(i for i, digit in enumerate(self.flip_string(), 1) if digit == "0")
 
     def compose(self, other: "RelabelMask") -> "RelabelMask":
         """Apply ``other`` after ``self``; flips combine by exclusive-or."""
@@ -254,7 +242,7 @@ def mask_from_index_set(indices: Iterable[int], n: int) -> RelabelMask:
     """
     if n < 1:
         raise ValueError("mask length must be at least 1")
-    kept = set()
+    kept = bytearray((n + 7) // 8)  # bit i - 1 set iff i is in X, little-endian
     for i in indices:
         try:
             i = index(i)
@@ -262,8 +250,8 @@ def mask_from_index_set(indices: Iterable[int], n: int) -> RelabelMask:
             raise ValueError(f"index {i!r} is not an integer") from None
         if not 1 <= i <= n:
             raise ValueError(f"index {i} out of range 1..{n}")
-        kept.add(i)
-    return RelabelMask(tuple(i not in kept for i in range(1, n + 1)))
+        kept[(i - 1) >> 3] |= 1 << ((i - 1) & 7)
+    return RelabelMask.from_int(int.from_bytes(kept, "little") ^ ((1 << n) - 1), n)
 
 
 def apply_relabeling(seq: BinarySequence, mask: RelabelMask, vocab: str | None = None) -> BinarySequence:

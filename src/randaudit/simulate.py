@@ -40,7 +40,7 @@ from math import sqrt
 from typing import NamedTuple
 
 from .exact import CapExceededError, _column_tally, as_probability, check_tail_length, parse_rational, prob_dict
-from .sequences import BinarySequence, count_ones, count_runs, pack
+from .sequences import BinarySequence, count_ones, count_runs
 from .verdicts import DEFAULT_ALPHA, ONE_SIDED, RUNS, rejection_set, statistic
 
 __all__ = [
@@ -180,7 +180,7 @@ def sample_sequence(model: SourceModel, n: int, seed: int) -> BinarySequence:
     if n < 1:
         raise ValueError("length must be at least 1")
     _check_work(BLOCK_TRIALS, n)  # the whole first block is drawn
-    return BinarySequence.from_int(pack([plane & 1 for plane in _bit_planes(model, n, seed, 0)]), n)
+    return BinarySequence.from_int(sum((plane & 1) << i for i, plane in enumerate(_bit_planes(model, n, seed, 0))), n)
 
 
 class RejectionRateEstimate(NamedTuple):

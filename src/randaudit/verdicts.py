@@ -1,7 +1,7 @@
 """The two tests' null laws, and reject/not-reject verdicts from them.
 
 Both tests sit behind one table, ``STATISTICS``, keyed by test name and
-read through :func:`statistic`, the one place an unknown name is refused.
+read through :func:`statistic`, the one place unknown names are refused.
 An entry holds the statistic (:func:`count_runs` or :func:`count_ones`), its
 tail rule and its offset ``low``: under the null, statistic - low is
 Binomial(n - low, 1/2) (R - 1 for the run count R, the head count itself;
@@ -123,14 +123,6 @@ class TestVerdict(NamedTuple):
         }
 
 
-def _checked(test: str, convention: str) -> Statistic:
-    """The table entry for ``test``, with ``convention`` checked too: the tail rules take both as given."""
-    stat = statistic(test)
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    return stat
-
-
 def runs_pvalue(n: int, r: int, tail: str) -> Fraction:
     """Exact tail probability of the run count: P(R <= r) for ``lower``, P(R >= r) for ``upper``."""
     if tail == "lower":
@@ -207,12 +199,15 @@ STATISTICS = {
 TESTS = tuple(STATISTICS)
 
 
-def statistic(test: str) -> Statistic:
-    """The table entry for ``test``; unknown names are refused here."""
+def statistic(test: str, convention: str = ONE_SIDED) -> Statistic:
+    """The table entry for ``test``, with ``convention`` checked too; an unknown test is named first."""
     try:
-        return STATISTICS[test]
+        stat = STATISTICS[test]
     except KeyError:
         raise ValueError(f"unknown test {test!r}; expected one of {TESTS}") from None
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
+    return stat
 
 
 def judge(
@@ -223,7 +218,7 @@ def judge(
 ) -> TestVerdict:
     """Judge ``seq`` by the named test; ``convention`` applies to the head count."""
     alpha = as_probability(alpha)
-    stat = _checked(test, convention)
+    stat = statistic(test, convention)
     n, value = seq.n, stat.of(seq)
     tail, count = stat.tail(n, value, convention)
     # Every runs p goes through runs_pvalue, which bench/test_bench.py patches to inject a wrong p.
@@ -255,7 +250,7 @@ def statistic_domain(test: str, n: int) -> range:
 
 def statistic_pvalue(test: str, n: int, value: int, convention: str = ONE_SIDED) -> tuple[str, Fraction]:
     """Tail and p-value a verdict would use for a given statistic value."""
-    tail, count = _checked(test, convention).tail(n, value, convention)
+    tail, count = statistic(test, convention).tail(n, value, convention)
     return tail, dyadic(count, n)
 
 
@@ -274,7 +269,7 @@ def pvalue_spectrum(seq: BinarySequence, test: str, convention: str = ONE_SIDED)
     tails are symmetric), so the tally is keyed on the tail's count and
     one Fraction is built per distinct p-value.
     """
-    n, stat = seq.n, _checked(test, convention)
+    n, stat = seq.n, statistic(test, convention)
     tally: dict[int, int] = {}
     for v in statistic_domain(test, n):
         count = stat.tail(n, v, convention)[1]
@@ -316,7 +311,7 @@ def _rejected_values(test: str, n: int, alpha: Fraction, convention: str) -> tup
     TAIL_LENGTH_LIMIT is refused first.
     """
     check_tail_length(n)
-    stat = _checked(test, convention)
+    stat = statistic(test, convention)
     den, bound = alpha.denominator, alpha.numerator << n  # count / 2^n <= alpha, on ints
     return tuple(v for v in range(stat.low, n + 1) if stat.tail(n, v, convention)[1] * den <= bound)
 

@@ -407,15 +407,17 @@ class TestRunsReversalAgainstReference:
         targets = _run_count_targets(seq, ALPHA, ONE_SIDED)
         assert targets == [1, 8]
         passes = []
-        band_rows = audit_mod._band_rows
+        band_pass = audit_mod._band_pass
 
         def recorded(edges, total, targets, f):
-            passes.append(f)
-            return band_rows(edges, total, targets, f)
+            mask = band_pass(edges, total, targets, f)
+            passes.append((f, mask))
+            return mask
 
-        monkeypatch.setattr(audit_mod, "_band_rows", recorded)
+        monkeypatch.setattr(audit_mod, "_band_pass", recorded)
         result = find_flipping_mask(seq, RUNS, ALPHA)
-        assert passes == [1, 2, 4]
+        assert [f for f, _ in passes] == [1, 2, 4]
+        assert [mask for _, mask in passes] == [None, None, RelabelMask.from_flip_string("00001111").value]
         assert result is not None and result.mask.flip_count() == 4
         assert result.mask == brute_force_minimal(seq, RUNS, ALPHA, ONE_SIDED)
         assert result.mask.flip_string() == "00001111"

@@ -345,6 +345,8 @@ class TestStatisticTable:
         seq = parse_sequence("HTTH")
         calls = [
             lambda: statistic_pvalue(RUNS, 4, 1, "bogus"),
+            lambda: statistic_pvalue(BINOMIAL, 4, 1, "bogus"),
+            lambda: binomial_test(seq, ALPHA, "bogus"),
             lambda: rejection_set(RUNS, 9, ALPHA, "bogus"),
             lambda: verdict_under_relabeling(seq, mask_from_index_set({1}, 4), RUNS, ALPHA, "bogus"),
             lambda: find_flipping_mask(seq, RUNS, ALPHA, "bogus"),
@@ -354,6 +356,9 @@ class TestStatisticTable:
         for call in calls:
             with pytest.raises(ValueError, match="unknown convention 'bogus'"):
                 call()
+        # An unknown test is named first, before the convention is read.
+        with pytest.raises(ValueError, match="unknown test 'chi2'"):
+            statistic_pvalue("chi2", 4, 1, "bogus")
 
 
 PUBLIC_NAMES = """
