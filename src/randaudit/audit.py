@@ -87,9 +87,9 @@ def verdict_under_relabeling(
     convention: str = ONE_SIDED,
     relabeled_vocab: str | None = None,
 ) -> AuditResult:
-    """Run one test on both readings of the same output."""
-    original = judge(seq, test, alpha, convention)
+    """Run one test on both readings of the same output; the mask goes first, so a wrong length reads no tail."""
     relabeled_seq = apply_relabeling(seq, mask, vocab=relabeled_vocab)
+    original = judge(seq, test, alpha, convention)
     return AuditResult(original, judge(relabeled_seq, test, alpha, convention), mask, relabeled_seq)
 
 
@@ -175,7 +175,7 @@ def _band_pass(edges: str, total: int, targets: set[int], f: int) -> int | None:
     60-63 ms a pass, 63-73 ms whole and 17.5 MB.
     """
     n = len(edges) + 1
-    radius, cap, w = 2 * f + 1, f + 1, (n + f).bit_length() + 1
+    radius, cap, w = 2 * f, f + 1, (n + f).bit_length() + 1
     top = w - 1
     width = min(n, 2 * radius + 1)  # lanes in the widest row
     all_ones = int("1".zfill(w) * width, 2)
@@ -248,14 +248,14 @@ def _runs_reversal(value: int, n: int, targets: set[int]) -> int:
     wherever it still attains the optimum, which yields the smallest flip
     string among the fewest-flip masks.
 
-    A mask with at most F flips keeps the breaks before every position
-    within 2F of the sequence's own count B(i) there, so the table keeps
-    only the offsets b in B(i) - (2F + 1)..B(i) + (2F + 1), clipped to
-    0..i: a band.  An optimum of at most F found in the band is the
-    global one, and every fewest-flip mask lies in the band, so the
-    tie-break holds too.  F starts at ⌈δ/2⌉, where δ is the distance from
-    the run count to the nearest target: a flip moves the count by at
-    most two, so no fewer flips reach a target.  F then doubles until
+    A mask with at most F flips has at most 2F transitions before any
+    position, so it keeps the breaks there within 2F of the sequence's
+    own count B(i), and the table keeps only the offsets b in
+    B(i) - 2F..B(i) + 2F, clipped to 0..i: a band.  An optimum of at most
+    F found in the band is the global one, and every fewest-flip mask
+    lies in the band, so the tie-break holds too.  F starts at ⌈δ/2⌉,
+    where δ is the distance from the run count to the nearest target: a
+    flip moves the count by at most two, so no fewer flips reach a target.  F then doubles until
     :func:`_band_pass` finds the band's optimum at most F.
     """
     edges = format(value ^ (value >> 1), f"0{n}b")[:0:-1]  # edges[i] == "1": positions i and i + 1 differ

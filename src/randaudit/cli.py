@@ -6,13 +6,14 @@ error, 1 computation error such as an exceeded enumeration cap or a
 length beyond the exact-tail limit, and 1 when ``reproduce-paper``
 detects a deviation from its pinned values.
 
-Each subcommand is one ``COMMANDS`` row: its help text, the options it
-takes and a function from the parsed options to the report fields it
-sets and its ``--pretty`` lines.  Each option is one ``OPTIONS`` entry:
-its argparse flags, how it is parsed and how it is echoed into the
-report's ``inputs``.  One driver builds the parser from the two tables,
-parses and echoes the options in ``OPTIONS`` order, and renders the
-report.
+Each subcommand is one ``COMMANDS`` row: its help text and a function
+from its options to the report fields it sets and its ``--pretty``
+lines.  The function's parameters name the options it takes, as keys
+of ``OPTIONS``; every subcommand also takes ``pretty``.  Each option is
+one ``OPTIONS`` entry: its argparse flags, how it is parsed and how it
+is echoed into the report's ``inputs``.  One driver builds the parser
+from the two tables, parses and echoes the options in ``OPTIONS``
+order, and renders the report.
 """
 
 from __future__ import annotations
@@ -68,11 +69,9 @@ def _flag(flag: str, parse=None, echo=lambda value: value, **keywords) -> Option
 
 
 def _parse_mask(args: argparse.Namespace, n: int) -> RelabelMask:
+    """The mask from ``--mask`` or ``--x-set``; the library refuses one whose length is not n."""
     if args.mask is not None:
-        mask = RelabelMask.from_flip_string(args.mask)
-        if mask.n != n:
-            raise ParseError(f"mask length {mask.n} does not match sequence length {n}")
-        return mask
+        return RelabelMask.from_flip_string(args.mask)
     try:
         indices = [int(part) for part in args.x_set.split(",") if part.strip() != ""]
     except ValueError:
@@ -160,18 +159,18 @@ def _pretty_verdict(v) -> str:
     )
 
 
-# Each function below maps the parsed options to (report fields, pretty
-# lines).  The fields are laid over the report ``build_report`` makes from
-# the echoed inputs, with empty results and notes.
+# Each function below maps its options, named by its parameters, to
+# (report fields, pretty lines).  The fields are laid over the report
+# ``build_report`` makes from the echoed inputs, with empty results and
+# notes; None means the lines are the only rendering.
 
 
-def _runs_test(got: dict) -> tuple[dict, list[str]]:
-    verdict = runs_test(got["seq"], got["alpha"])
-    return {"results": [verdict.as_dict()]}, [f"sequence {got['seq'].text()}", _pretty_verdict(verdict)]
+def _runs_test(seq, alpha) -> tuple[dict, list[str]]:
+    verdict = runs_test(seq, alpha)
+    return {"results": [verdict.as_dict()]}, [f"sequence {seq.text()}", _pretty_verdict(verdict)]
 
 
-def _binomial_test(got: dict) -> tuple[dict, list[str]]:
-    seq, alpha, convention = got["seq"], got["alpha"], got["convention"]
+def _binomial_test(seq, alpha, convention) -> tuple[dict, list[str]]:
     verdict = binomial_test(seq, alpha, convention)
     fields = {"results": [verdict.as_dict()]}
     if convention == TWO_SIDED_DOUBLED:
@@ -180,25 +179,24 @@ def _binomial_test(got: dict) -> tuple[dict, list[str]]:
     return fields, [f"sequence {seq.text()}", _pretty_verdict(verdict)]
 
 
-def _relabel(got: dict) -> tuple[dict, list[str]]:
-    seq, mask = got["seq"], got["mask"]
+def _relabel(seq, mask) -> tuple[dict, list[str]]:
     out = apply_relabeling(seq, mask)
     lines = [f"original  {seq.text()}", f"mask      {mask.flip_string()}", f"relabeled {out.text(lower=True)}"]
     return {"results": [{"relabeled": out.text(lower=True), "vocab": out.vocab}]}, lines
 
 
-def _audit(got: dict) -> tuple[dict, list[str]]:
-    audit = verdict_under_relabeling(got["seq"], got["mask"], got["test"], got["alpha"], got["convention"])
+def _audit(seq, mask, test, alpha, convention, emit_witness) -> tuple[dict, list[str]]:
+    audit = verdict_under_relabeling(seq, mask, test, alpha, convention)
     lines = [
-        f"original  {got['seq'].text()}: {_pretty_verdict(audit.original)}",
+        f"original  {seq.text()}: {_pretty_verdict(audit.original)}",
         f"relabeled {audit.relabeled_sequence.text(lower=True)}: {_pretty_verdict(audit.relabeled)}",
         f"verdict flipped: {'yes' if audit.flipped else 'no'}",
     ]
-    return {"results": [audit.as_dict(emit_witness=got["emit_witness"], x_set=True)]}, lines
+    return {"results": [audit.as_dict(emit_witness=emit_witness, x_set=True)]}, lines
 
 
-def _flip_search(got: dict) -> tuple[dict, list[str]]:
-    found = find_flipping_mask(got["seq"], got["test"], got["alpha"], got["convention"], minimize=got["minimize"])
+def _flip_search(seq, test, alpha, convention, minimize, emit_witness) -> tuple[dict, list[str]]:
+    found = find_flipping_mask(seq, test, alpha, convention, minimize=minimize)
     if not found:
         return {"results": [{"found": False}]}, ["no relabeling reverses this verdict"]
     lines = [
@@ -206,27 +204,27 @@ def _flip_search(got: dict) -> tuple[dict, list[str]]:
         f"guaranteed minimal: {'yes' if found.guaranteed_minimal else 'no'}",
         f"relabeled {found.audit.relabeled_sequence.text(lower=True)}: {_pretty_verdict(found.audit.relabeled)}",
     ]
-    return {"results": [found.as_dict(emit_witness=got["emit_witness"])]}, lines
+    return {"results": [found.as_dict(emit_witness=emit_witness)]}, lines
 
 
-def _spectrum(got: dict) -> tuple[dict, list[str]]:
-    spectrum = sorted(pvalue_spectrum(got["seq"], got["test"], got["convention"]).items())
+def _spectrum(seq, test, convention) -> tuple[dict, list[str]]:
+    spectrum = sorted(pvalue_spectrum(seq, test, convention).items())
     rows = [{"p": prob_dict(p), "count": count} for p, count in spectrum]
     return {"results": rows}, [f"{_pretty_prob(p)}: {count} masks" for p, count in spectrum]
 
 
-def _distribution(got: dict) -> tuple[dict, Iterable[str]]:
-    dist = enumerate_runs_distribution(got["n"]) if got["oracle"] else runs_distribution(got["n"])
-    if got["format"] == "csv":
-        return {}, dist.csv_lines()
+def _distribution(n, oracle, format) -> tuple[dict | None, Iterable[str]]:
+    dist = enumerate_runs_distribution(n) if oracle else runs_distribution(n)
+    if format == "csv":  # a text rendering, with or without --pretty
+        return None, dist.csv_lines()
     table = dist.to_json_dict()
     # Built only if printed: at n = 5000 the lines hold 30 MB that a JSON report never reads.
     lines = (f"r={row['r']:>3}  count={row['count']}  pmf={row['pmf']['decimal']}" for row in table["rows"])
     return {"results": [table]}, lines
 
 
-def _rejection_set(got: dict) -> tuple[dict, list[str]]:
-    result = rejection_set(got["test"], got["n"], got["alpha"], got["convention"], include_sequences=got["explicit"])
+def _rejection_set(test, n, alpha, convention, explicit) -> tuple[dict, list[str]]:
+    result = rejection_set(test, n, alpha, convention, include_sequences=explicit)
     lines = [
         f"rejected statistic values: {list(result.statistic_values)}",
         f"exact size: {_pretty_prob(result.exact_size)}",
@@ -236,26 +234,24 @@ def _rejection_set(got: dict) -> tuple[dict, list[str]]:
     return {"results": [result.as_dict()]}, lines
 
 
-def _simulate(got: dict) -> tuple[dict, list[str]]:
-    estimate = rejection_rate(
-        got["model"], got["test"], got["n"], got["alpha"], got["convention"], trials=got["trials"], seed=got["seed"]
-    )
+def _simulate(model, test, n, alpha, convention, trials, seed) -> tuple[dict, list[str]]:
+    estimate = rejection_rate(model, test, n, alpha, convention, trials=trials, seed=seed)
     lines = [
         f"rejected {estimate.rejected}/{estimate.trials} (rate {estimate.rate:.5f}, se {estimate.standard_error:.5f})",
         f"exact size under the fair null: {_pretty_prob(estimate.exact_fair_size)}",
     ]
-    trial_zero = sample_sequence(got["model"], got["n"], got["seed"])
+    trial_zero = sample_sequence(model, n, seed)
     return {"results": [estimate.as_dict(), {"first_draw": trial_zero.text()}]}, lines
 
 
-def _posterior(got: dict) -> tuple[dict, list[str]]:
-    odds = posterior_odds(got["prior_odds"], got["alternative"], got["seq"])
+def _posterior(seq, alternative, prior_odds) -> tuple[dict, list[str]]:
+    odds = posterior_odds(prior_odds, alternative, seq)
     text, approx = _rendered(str, odds), _rendered(float, odds)
     result = {"posterior_odds": {"num": odds.numerator, "den": odds.denominator}, "posterior_odds_float": approx}
     return {"results": [result]}, [f"posterior odds = {text} = {approx:.6g}"]
 
 
-def _reproduce(got: dict) -> tuple[dict, list[str]]:
+def _reproduce() -> tuple[dict, list[str]]:
     """The pinned report, inputs and deviations included, as ``reproduce_paper`` builds it."""
     report, deviations = report_mod.reproduce_paper()
     lines = []
@@ -275,40 +271,28 @@ def _reproduce(got: dict) -> tuple[dict, list[str]]:
 
 class Command(NamedTuple):
     help: str
-    options: tuple[str, ...]  # keys of OPTIONS
-    run: Callable[[dict], tuple[dict, Iterable[str]]]  # parsed options -> (report fields, pretty lines)
+    run: Callable[..., tuple[dict | None, Iterable[str]]]  # options by name -> (report fields, pretty lines)
+
+
+def _options(command: Command) -> list[tuple[str, Option]]:
+    """The ``OPTIONS`` entries a subcommand takes, in order: its function's positional parameters, and ``pretty``."""
+    code = command.run.__code__
+    keys = {*code.co_varnames[: code.co_argcount], "pretty"}
+    return [(key, option) for key, option in OPTIONS.items() if key in keys]
 
 
 COMMANDS = {
-    "runs-test": Command("exact run-count verdict", ("seq", "alpha", "pretty"), _runs_test),
-    "binomial-test": Command("exact head-count verdict", ("seq", "alpha", "convention", "pretty"), _binomial_test),
-    "relabel": Command("apply a vocabulary relabeling", ("seq", "mask", "pretty"), _relabel),
-    "audit": Command(
-        "verdicts before and after a relabeling",
-        ("seq", "mask", "test", "alpha", "convention", "emit_witness", "pretty"),
-        _audit,
-    ),
-    "flip-search": Command(
-        "find a verdict-reversing relabeling",
-        ("seq", "test", "alpha", "convention", "minimize", "emit_witness", "pretty"),
-        _flip_search,
-    ),
-    "spectrum": Command("p-value multiset over all relabelings", ("seq", "test", "convention", "pretty"), _spectrum),
-    "distribution": Command("exact run-count distribution table", ("n", "oracle", "format", "pretty"), _distribution),
-    "rejection-set": Command(
-        "statistic values rejected at a threshold",
-        ("test", "n", "alpha", "convention", "explicit", "pretty"),
-        _rejection_set,
-    ),
-    "simulate": Command(
-        "sample a source and estimate the rejection rate",
-        ("model", "test", "n", "alpha", "convention", "trials", "seed", "pretty"),
-        _simulate,
-    ),
-    "posterior": Command(
-        "exact posterior odds of an alternative source", ("seq", "alternative", "prior_odds", "pretty"), _posterior
-    ),
-    "reproduce-paper": Command("recompute the pinned worked examples", ("pretty",), _reproduce),
+    "runs-test": Command("exact run-count verdict", _runs_test),
+    "binomial-test": Command("exact head-count verdict", _binomial_test),
+    "relabel": Command("apply a vocabulary relabeling", _relabel),
+    "audit": Command("verdicts before and after a relabeling", _audit),
+    "flip-search": Command("find a verdict-reversing relabeling", _flip_search),
+    "spectrum": Command("p-value multiset over all relabelings", _spectrum),
+    "distribution": Command("exact run-count distribution table", _distribution),
+    "rejection-set": Command("statistic values rejected at a threshold", _rejection_set),
+    "simulate": Command("sample a source and estimate the rejection rate", _simulate),
+    "posterior": Command("exact posterior odds of an alternative source", _posterior),
+    "reproduce-paper": Command("recompute the pinned worked examples", _reproduce),
 }
 
 
@@ -331,27 +315,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        for key, option in OPTIONS.items():
-            if key in command.options:
-                target = p.add_mutually_exclusive_group(required=True) if option.exclusive else p
-                for flag, keywords in option.flags:
-                    target.add_argument(flag, **keywords)
+        for _, option in _options(command):
+            target = p.add_mutually_exclusive_group(required=True) if option.exclusive else p
+            for flag, keywords in option.flags:
+                target.add_argument(flag, **keywords)
     return parser
 
 
 def _run(args: argparse.Namespace) -> int:
     command = COMMANDS[args.subcommand]
     got: dict = {}
-    for key, option in OPTIONS.items():
-        if key in command.options:
-            got[key] = option.parse(args, got)
-    fields, lines = command.run(got)
+    for key, option in _options(command):
+        got[key] = option.parse(args, got)
+    pretty = got.pop("pretty")
+    fields, lines = command.run(**got)
     inputs: dict = {}
     for key, value in got.items():
         if OPTIONS[key].echo is not None:
             inputs.update(OPTIONS[key].echo(value))
-    report = {**build_report(args.subcommand, inputs, [], []), **fields}
-    as_text = got["pretty"] or got.get("format") == "csv"  # csv is a text rendering and wins over --pretty
+    report = {**build_report(args.subcommand, inputs, [], []), **(fields or {})}
+    as_text = pretty or fields is None
     if sys.stdout is not None:  # None when stdout is closed outright (``>&-``): nothing is written, as by print
         sys.stdout.write("\n".join(lines) + "\n" if as_text else to_json(report))
     return 1 if "deviations" in report else 0
@@ -378,7 +361,7 @@ def run_cli(argv: list[str]) -> int:
     except CapExceededError as exc:
         _error(exc)
         return 1
-    except (ValueError, ZeroDivisionError) as exc:  # ParseError included
+    except ValueError as exc:  # ParseError included
         _error(exc)
         return 2
 

@@ -177,8 +177,6 @@ def _bit_planes(model: SourceModel, n: int, seed: int, block: int) -> list[int]:
 
 def sample_sequence(model: SourceModel, n: int, seed: int) -> BinarySequence:
     """One deterministic draw from the model: trial 0 of ``rejection_rate`` at the same seed."""
-    if n < 1:
-        raise ValueError("length must be at least 1")
     _check_work(BLOCK_TRIALS, n)  # the whole first block is drawn
     return BinarySequence.from_int(sum((plane & 1) << i for i, plane in enumerate(_bit_planes(model, n, seed, 0))), n)
 

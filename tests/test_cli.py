@@ -324,6 +324,13 @@ class TestErrorsAndStability:
         assert code == 2
         assert "length" in err
 
+    def test_mask_length_mismatch_beyond_tail_limit(self, capsys):
+        """The mask's length is refused (exit 2) before the sequence's length reaches the tail limit (exit 1)."""
+        seq = "H" * (TAIL_LENGTH_LIMIT + 1)
+        code, out, err = invoke(capsys, "audit", "--test", "runs", "--mask", "01", "--seq", seq)
+        assert (code, out) == (2, "")
+        assert "does not match mask length 2" in err
+
     def test_bad_index_set(self, capsys):
         code, _, err = invoke(capsys, "relabel", "--seq", "HT", "--x-set", "1,banana")
         assert code == 2

@@ -51,6 +51,12 @@ REFUSALS = [
     (randaudit.runs_distribution(3).count, (0,), r"run count 0 out of range 1\.\.3"),
     (randaudit.enumerate_runs_distribution, (0,), "length must be at least 1"),
     (randaudit.check_null_invariance, (0,), "length must be at least 1"),
+    # The mask is checked before any tail is read, so a length beyond the tail limit is not what is refused.
+    (
+        randaudit.verdict_under_relabeling,
+        (randaudit.BinarySequence.from_int(0, 5001), randaudit.RelabelMask.from_int(1, 2), randaudit.RUNS),
+        "sequence length 5001 does not match mask length 2",
+    ),
     # Text probabilities that a report could not render, from the library as from the CLI.
     (randaudit.runs_test, (randaudit.parse_sequence("HTTH"), "1e-4400"), "denominator of more than"),
     (randaudit.SourceModel, ("biased", "1e-4400"), "denominator of more than"),
